@@ -16,9 +16,9 @@
 #include "ir/liveness.h"
 #include "ir/reaching_defs.h"
 #include "sim/baseline_exec.h"
+#include "sim/drive.h"
 #include "sim/hw_cache.h"
 #include "sim/pipeline.h"
-#include "sim/pipeline_account.h"
 #include "sim/sw_exec.h"
 #include "sim/trace.h"
 #include "workloads/registry.h"
@@ -94,8 +94,11 @@ BM_HwCacheExec(benchmark::State &state)
     const Kernel &k = bigKernel();
     HwCacheConfig cfg;
     cfg.useLRF = true;
+    RunConfig run;
     for (auto _ : state) {
-        AccessCounts c = runHwCache(k, cfg);
+        std::unique_ptr<SchemeAccounting> acct = hwCacheAccounting(k, cfg);
+        acct->driveStepper(k, run);
+        const AccessCounts &c = acct->counts();
         benchmark::DoNotOptimize(c.instructions);
         state.SetItemsProcessed(state.items_processed() +
                                 c.instructions);
@@ -204,8 +207,8 @@ BM_PipelineCycle(benchmark::State &state)
     PipelineConfig cfg;
     cfg.activeWarps = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        AccessCounts counts;
-        auto acct = makeFlatAccounting(w.kernel, &dec, counts);
+        std::unique_ptr<SchemeAccounting> acct =
+            flatAccounting(w.kernel, &dec);
         PipelineResult r = runPipeline(trace, dec, *acct, cfg);
         benchmark::DoNotOptimize(r.stats.cycles);
         state.SetItemsProcessed(state.items_processed() +
@@ -224,8 +227,8 @@ BM_PipelineOneBank(benchmark::State &state)
     PipelineConfig cfg;
     cfg.banks.numBanks = 1;
     for (auto _ : state) {
-        AccessCounts counts;
-        auto acct = makeFlatAccounting(w.kernel, &dec, counts);
+        std::unique_ptr<SchemeAccounting> acct =
+            flatAccounting(w.kernel, &dec);
         PipelineResult r = runPipeline(trace, dec, *acct, cfg);
         benchmark::DoNotOptimize(r.stats.bankConflicts);
         state.SetItemsProcessed(state.items_processed() +

@@ -2,9 +2,10 @@
 #
 # Full local gate: configure, build, and run the test suite, then
 # rebuild with ThreadSanitizer and exercise the parallel experiment
-# engine under it, and with AddressSanitizer over the trace/replay
-# engine (whose pre-decoded buffers and ring-buffer RFC are the
-# library's most index-heavy code). Two observability gates follow:
+# engine under it, and with AddressSanitizer + UBSan over the
+# trace/replay engine (whose pre-decoded buffers and ring-buffer RFC
+# are the library's most index-heavy code). Two observability gates
+# follow:
 # a Doxygen-warning check over the metrics/trace/manifest/replay
 # headers (skipped when doxygen is not installed) and a performance
 # gate that takes a fresh snapshot and diffs it against the newest
@@ -13,7 +14,7 @@
 #
 #   scripts/check.sh              # build + ctest + sanitizers + gates
 #   scripts/check.sh --no-tsan    # skip the TSan stage
-#   scripts/check.sh --no-asan    # skip the ASan stage
+#   scripts/check.sh --no-asan    # skip the ASan+UBSan stage
 #   scripts/check.sh --no-perf    # skip the bench-diff perf gate
 #   scripts/check.sh --no-fuzz    # skip the differential fuzz smoke
 #   scripts/check.sh --no-golden  # skip the golden figure-shape gate
@@ -246,15 +247,17 @@ if [[ "$run_tsan" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-    echo "== AddressSanitizer: trace + replay engine =="
+    echo "== AddressSanitizer + UBSan: trace + replay engine =="
     cmake -B "$repo/build-asan" -S "$repo" -DRFH_SANITIZE=address >/dev/null
     cmake --build "$repo/build-asan" -j "$jobs" --target rfh_tests
     # The recording walk, the pre-decoded SoA buffers, and every
     # replay executor's pointer-walking hot loop.
     # DiskCache.* adds the serializer round-trips and torn-entry
-    # parsing (length-prefixed reads over untrusted file bytes).
+    # parsing (length-prefixed reads over untrusted file bytes);
+    # SwExec.* and SwExecBounds.* feed the software executor corrupted
+    # annotations.
     "$repo/build-asan/tests/rfh_tests" \
-        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:DiskCache.*'
+        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:DiskCache.*:SwExec.*:SwExecBounds.*'
     if [[ "$run_fuzz" == 1 ]]; then
         # The differential oracle over the checked-in corpus: every
         # scheme x engine pair runs under ASan, so an out-of-bounds
@@ -275,7 +278,7 @@ if command -v doxygen >/dev/null 2>&1; then
             >/dev/null)
     # New-in-this-layer headers must stay warning-free; the gate is
     # scoped so pre-existing debt elsewhere does not block CI.
-    gated='core/metrics\.|core/trace_events\.|core/manifest\.|core/benchdiff\.|sim/replay_kernels\.|sim/replay_arena\.|core/scheme\.|core/leaderboard\.|sim/cc_rfc\.|sim/regdem\.|sim/greener\.|sim/rfc_ring\.|sim/tick\.|sim/port\.|sim/pipeline|core/stats\.|core/corpus\.|workloads/profiles\.|service/corpus_client\.|service/net\.'
+    gated='core/metrics\.|core/trace_events\.|core/manifest\.|core/benchdiff\.|sim/replay_kernels\.|sim/replay_arena\.|core/scheme\.|core/leaderboard\.|sim/cc_rfc\.|sim/regdem\.|sim/greener\.|sim/rfc_ring\.|sim/tick\.|sim/port\.|sim/pipeline|sim/drive\.|core/stats\.|core/corpus\.|workloads/profiles\.|service/corpus_client\.|service/net\.'
     if grep -E "$gated" "$doxlog"; then
         echo "check.sh: doxygen warnings in gated headers (above)" >&2
         exit 1

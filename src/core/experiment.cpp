@@ -8,6 +8,7 @@
 #include "core/scheme.h"
 #include "core/trace_events.h"
 #include "sim/baseline_exec.h"
+#include "sim/drive.h"
 #include "sim/trace.h"
 
 namespace rfh {
@@ -217,7 +218,7 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
     out.energyPJ = backend.accountEnergyPJ(ctx, out.counts, em);
 
     // ---- Perf (opt-in): cycle-level pipeline pass ----
-    if (cfg.perf && caps.pipelined && out.ok() && !cancelled()) {
+    if (cfg.perf && out.ok() && !cancelled()) {
         SchemePipelineResult pr = runSchemePipeline(w, cfg, cfg.pipeline);
         if (pr.ok()) {
             out.perf = pr.stats;
@@ -257,12 +258,6 @@ runSchemePipeline(const Workload &w, const ExperimentConfig &cfg,
             SchemeRegistry::instance().tokenList() + ")";
         return out;
     }
-    if (!si->caps.pipelined) {
-        out.error = "scheme '" + si->token +
-            "' has no pipeline accounting";
-        return out;
-    }
-
     ExperimentCache &cache = globalExperimentCache();
     auto cancelled = [&] { return cfg.cancel && cfg.cancel(); };
     if (cancelled()) {
@@ -299,23 +294,24 @@ runSchemePipeline(const Workload &w, const ExperimentConfig &cfg,
         }
     }
 
-    PipelineBuildContext ctx;
-    ctx.kernel = kernel;
+    SchemeRunContext ctx;
+    ctx.workload = &w;
     ctx.cfg = &cfg;
+    ctx.engine = ResolvedEngine::REPLAY;
+    ctx.kernel = kernel;
     ctx.analyses = analyses.get();
+    ctx.trace = trace.get();
     ctx.decode = dec.get();
-    ctx.counts = &out.counts;
-    std::unique_ptr<PipelineAccounting> acct =
-        si->backend->makePipelineAccounting(ctx);
+    std::unique_ptr<SchemeAccounting> acct = si->backend->accounting(ctx);
     if (!acct) {
-        out.error = "scheme '" + si->token +
-            "' advertises pipelined caps but built no accounting";
+        out.error = "scheme '" + si->token + "' built no accounting";
         return out;
     }
 
     Stopwatch watch;
     PipelineResult r = runPipeline(*trace, *dec, *acct, pcfg);
     out.stats = r.stats;
+    out.counts = acct->counts();
     out.error = r.error;
 
     PipelineMetrics &pm = pipelineMetrics();

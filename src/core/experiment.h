@@ -87,9 +87,8 @@ struct ExperimentConfig
     /**
      * Also run the cycle-level SM pipeline (sim/pipeline.h) after a
      * clean simulate phase and attach IPC / stall-breakdown stats to
-     * the outcome (RunOutcome::perf). Only schemes whose caps say
-     * @c pipelined participate; others ignore the flag. Off by
-     * default: the pipeline costs another pass over the trace.
+     * the outcome (RunOutcome::perf). Off by default: the pipeline
+     * costs another pass over the trace.
      */
     bool perf = false;
     /** Pipeline timing knobs used when @c perf is set. */
@@ -122,8 +121,7 @@ struct RunOutcome
     std::string error;             ///< Non-empty on verification failure.
     /**
      * Cycle-level pipeline stats; meaningful only when @c hasPerf.
-     * Filled by runScheme when ExperimentConfig::perf is set and the
-     * scheme's caps say @c pipelined.
+     * Filled by runScheme when ExperimentConfig::perf is set.
      */
     PipelineStats perf;
     bool hasPerf = false;
@@ -181,8 +179,7 @@ struct SchemePipelineResult
  * accounting runs at issue, so the returned counts are identical to
  * runScheme's for the same configuration (the oracle cross-checks
  * this for every scheme); the stats add IPC, stall breakdown, swap
- * and bank-conflict totals on top. Fails with an error (not a crash)
- * for schemes whose caps lack @c pipelined.
+ * and bank-conflict totals on top.
  */
 SchemePipelineResult runSchemePipeline(const Workload &w,
                                        const ExperimentConfig &cfg,

@@ -68,7 +68,7 @@ runLeaderboard(const ExperimentConfig &base, ThreadPool *pool)
             row.entries = cfg.entries;
             row.outcome = runAllWorkloads(cfg, pool);
         }
-        if (base.perf && si->caps.pipelined) {
+        if (base.perf) {
             ExperimentConfig pc = base;
             pc.scheme = si->scheme;
             pc.entries = row.entries;

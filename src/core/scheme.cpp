@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "core/experiment.h"
-#include "sim/pipeline_account.h"
+#include "sim/drive.h"
 
 namespace rfh {
 
@@ -30,6 +30,17 @@ SchemeBackend::allocate(Kernel &, const ExperimentConfig &,
     return AllocStats{};
 }
 
+SchemeSimResult
+SchemeBackend::simulate(const SchemeRunContext &ctx) const
+{
+    std::unique_ptr<SchemeAccounting> acct = accounting(ctx);
+    if (ctx.engine == ResolvedEngine::REPLAY)
+        acct->driveTrace(*ctx.trace);
+    else
+        acct->driveStepper(*ctx.kernel, ctx.workload->run);
+    return SchemeSimResult{acct->counts(), acct->error()};
+}
+
 bool
 SchemeBackend::splitLrfEnergy(const ExperimentConfig &) const
 {
@@ -49,15 +60,6 @@ SchemeBackend::checkConservation(const AccessCounts &,
                                  const AccessCounts &) const
 {
     return {};
-}
-
-// Out of line so scheme.h needs only a forward declaration of
-// PipelineAccounting (unique_ptr of an incomplete type cannot be
-// destroyed in an inline default).
-std::unique_ptr<PipelineAccounting>
-SchemeBackend::makePipelineAccounting(const PipelineBuildContext &) const
-{
-    return nullptr;
 }
 
 SchemeRegistry::SchemeRegistry() = default;

@@ -42,6 +42,7 @@ struct AnalysisBundle;
 struct DecodedTrace;
 struct ReplayDecode;
 class EnergyModel;
+class SchemeAccounting;
 
 /**
  * Registry-backed scheme handle: a small value type identifying one
@@ -142,13 +143,6 @@ struct SchemeCaps
      * sweeping entries 1..kMaxOrfEntries.
      */
     bool sweepsEntries = true;
-    /**
-     * The backend implements makePipelineAccounting(), so the
-     * cycle-level SM pipeline (sim/pipeline.h) can run it: `rfhc run
-     * --perf` produces IPC and a stall breakdown, and the oracle
-     * cross-checks pipeline counts against the functional path.
-     */
-    bool pipelined = false;
 };
 
 /** ctx.engine values after AUTO resolution (mirrors ExecEngine). */
@@ -159,10 +153,11 @@ enum class ResolvedEngine
 };
 
 /**
- * Everything a backend may consume during its execute phase. Pointers
- * are owned by the caller (runScheme) and valid for the duration of
- * the simulate() call; optional inputs are null exactly when the
- * backend's capability flags say it does not use them.
+ * Everything a backend may consume to account one run. Pointers are
+ * owned by the caller (runScheme or runSchemePipeline) and valid while
+ * the run — and any SchemeAccounting built from the context — lives;
+ * optional inputs are null exactly when the backend's capability flags
+ * say it does not use them.
  */
 struct SchemeRunContext
 {
@@ -170,7 +165,10 @@ struct SchemeRunContext
     const Workload *workload = nullptr;
     /** Full experiment configuration. */
     const ExperimentConfig *cfg = nullptr;
-    /** Resolved execution engine for this run. */
+    /**
+     * Clock that drives the accounting: DIRECT steps the kernel,
+     * REPLAY walks @c trace (the pipeline clock also presents REPLAY).
+     */
     ResolvedEngine engine = ResolvedEngine::DIRECT;
     /**
      * Kernel to execute: the allocator-annotated private copy when
@@ -181,9 +179,15 @@ struct SchemeRunContext
     const AnalysisBundle *analyses = nullptr;
     /** Pre-decoded dynamic stream (null unless replaying with caps.usesTrace). */
     const DecodedTrace *trace = nullptr;
-    /** Shared per-kernel decode (null unless caps.wantsDecode applies). */
+    /**
+     * Shared per-kernel decode of the pristine kernel (null unless
+     * caps.wantsDecode applies; always set under the pipeline clock).
+     */
     const ReplayDecode *decode = nullptr;
-    /** Memoized flat-MRF counts of this workload; never null. */
+    /**
+     * Memoized flat-MRF counts of this workload; set by runScheme,
+     * null under the pipeline clock.
+     */
     const AccessCounts *baseline = nullptr;
 };
 
@@ -195,35 +199,13 @@ struct SchemeSimResult
     std::string error;
 };
 
-class PipelineAccounting;
-
-/**
- * Inputs of SchemeBackend::makePipelineAccounting. Pointer lifetimes
- * match SchemeRunContext: owned by the caller and valid while the
- * returned accounting (and the pipeline run driving it) lives.
- */
-struct PipelineBuildContext
-{
-    /**
-     * Kernel to account: the allocator-annotated private copy when
-     * caps.usesAllocator, else the pristine kernel.
-     */
-    const Kernel *kernel = nullptr;
-    /** Full experiment configuration. */
-    const ExperimentConfig *cfg = nullptr;
-    /** Analyses bundle (null unless caps.usesAnalyses). */
-    const AnalysisBundle *analyses = nullptr;
-    /** Shared per-kernel decode of the pristine kernel; may be null. */
-    const ReplayDecode *decode = nullptr;
-    /** Accumulator every warp accountant adds into; never null. */
-    AccessCounts *counts = nullptr;
-};
-
 /**
  * One register-file organisation: the narrow interface every engine
  * layer dispatches through. The phases mirror runScheme():
  *
  *   allocate (compile)  ->  simulate (execute)  ->  account energy
+ *
+ * accounting() is the only required method.
  *
  * Implementations must be deterministic (identical inputs produce
  * identical counts and stats, bit-for-bit — results are memoized,
@@ -252,8 +234,24 @@ class SchemeBackend
     virtual AllocStats allocate(Kernel &k, const ExperimentConfig &cfg,
                                 const AnalysisBundle *analyses) const;
 
-    /** Execute phase: produce the access counts of one run. */
-    virtual SchemeSimResult simulate(const SchemeRunContext &ctx) const = 0;
+    /**
+     * The one required method: this scheme's accounting of one run —
+     * its per-warp state machine wrapped by the generic driver
+     * (sim/drive.h, usually built by makeAccounting()). Every clock
+     * drives the same object: simulate() feeds it from the stepper or
+     * the trace, and the cycle-level pipeline feeds it at issue.
+     */
+    virtual std::unique_ptr<SchemeAccounting>
+    accounting(const SchemeRunContext &ctx) const = 0;
+
+    /**
+     * Execute phase: produce the access counts of one run. The
+     * default drives accounting() by @c ctx.engine. Override only
+     * with a fast path that is measured to pay for itself; the verify
+     * oracle checks its counts against the pipeline clock, which
+     * always runs the generic driver.
+     */
+    virtual SchemeSimResult simulate(const SchemeRunContext &ctx) const;
 
     /**
      * Price the LRF as split per-operand-slot banks when building the
@@ -283,16 +281,6 @@ class SchemeBackend
     virtual std::vector<std::string>
     checkConservation(const AccessCounts &c,
                       const AccessCounts &baseline) const;
-
-    /**
-     * Build the per-warp accounting the cycle-level pipeline
-     * (sim/pipeline.h) drives at issue. Must replicate simulate()'s
-     * counting exactly — the verify oracle enforces identical counts
-     * per scheme and warp count. Only called when caps().pipelined;
-     * the default returns null.
-     */
-    virtual std::unique_ptr<PipelineAccounting>
-    makePipelineAccounting(const PipelineBuildContext &ctx) const;
 };
 
 /** Immutable registration record of one scheme. */

@@ -115,7 +115,6 @@ runCorpusRemote(const CorpusConfig &cfg, const CorpusClientOptions &opts,
     for (const ScenarioProfile &p : profiles)
         resolved.profiles.push_back(p.name);
 
-    const SchemeRegistry &reg = SchemeRegistry::instance();
     auto start = std::chrono::steady_clock::now();
     CorpusAccumulator acc(resolved, profiles);
     int nCells = static_cast<int>(cells.size());
@@ -137,17 +136,13 @@ runCorpusRemote(const CorpusConfig &cfg, const CorpusClientOptions &opts,
                 names[static_cast<std::size_t>(k)] = w.name;
                 std::string text = printKernel(w.kernel);
                 for (int ci = 0; ci < nCells; ci++) {
-                    const SchemeInfo *info = reg.find(cells[ci].scheme);
                     ServiceRequest req;
                     req.idJson = std::to_string(k * nCells + ci);
                     req.kernelText = text;
                     req.scheme = cells[ci].scheme;
                     req.entries = cells[ci].entries;
                     req.warps = warps;
-                    // The local runner's perf flag is ignored by
-                    // non-pipelined schemes; the service rejects it
-                    // instead, so gate per cell for identical runs.
-                    req.perf = cfg.perf && info && info->caps.pipelined;
+                    req.perf = cfg.perf;
                     lines[static_cast<std::size_t>(k * nCells + ci)] =
                         serviceRequestToJson(req);
                 }

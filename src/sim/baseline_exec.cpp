@@ -3,84 +3,75 @@
 #include <algorithm>
 #include <optional>
 
+#include "sim/drive.h"
 #include "sim/machine.h"
-#include "sim/replay_arena.h"
-#include "sim/replay_kernels.h"
 #include "sim/trace.h"
 
 namespace rfh {
 
-AccessCounts
-runBaseline(const Kernel &k, const RunConfig &cfg)
+namespace {
+
+/** Flat single-level MRF: every register operand is an MRF access. */
+struct FlatModel
 {
-    AccessCounts counts;
-    for (int w = 0; w < cfg.numWarps; w++) {
-        WarpContext warp;
-        warp.reset(static_cast<std::uint32_t>(w));
-        std::uint64_t executed = 0;
-        while (!warp.done && executed < cfg.maxInstrsPerWarp) {
-            const Instruction &in = k.instr(warp.pc(k));
-            Datapath dp = datapathOf(in.unit());
+    static constexpr const char *kMetrics = "sim.flat";
+
+    FlatModel(const Kernel &k, const ReplayDecode *d)
+        : dec(d ? d : &local.emplace(k))
+    {
+    }
+
+    class Warp
+    {
+      public:
+        Warp(const FlatModel &m, AccessCounts &counts, ReplayArena &)
+            : dec_(*m.dec), counts_(counts)
+        {
+        }
+
+        void
+        onInstr(int lin, bool enabled, bool /*taken*/,
+                std::int32_t /*nextLin*/, OperandPlan *plan)
+        {
             // Operands are fetched before the predicate squashes the
             // instruction; only the writeback is suppressed.
-            bool enabled = !in.pred || warp.regs[*in.pred] != 0;
-            counts.read(Level::MRF, dp, in.numRegReads());
+            const ReplayOp &o = dec_.op[lin];
+            const Datapath dp = static_cast<Datapath>(o.dp);
+            counts_.read(Level::MRF, dp, dec_.regReads[lin]);
             if (enabled)
-                counts.write(Level::MRF, dp, in.numRegWrites());
-            counts.instructions++;
-            step(k, warp);
-            executed++;
+                counts_.write(Level::MRF, dp, dec_.regWrites[lin]);
+            counts_.instructions++;
+            if (!plan)
+                return;
+            for (int s = 0; s < o.nsrc; s++)
+                plan->mrfReg[plan->numMrf++] = o.src[s];
+            if (o.pred >= 0)
+                plan->mrfReg[plan->numMrf++] = static_cast<Reg>(o.pred);
         }
-    }
-    return counts;
+
+      private:
+        const ReplayDecode &dec_;
+        AccessCounts &counts_;
+    };
+
+    std::optional<ReplayDecode> local;
+    const ReplayDecode *dec;
+};
+
+} // namespace
+
+std::unique_ptr<SchemeAccounting>
+flatAccounting(const Kernel &k, const ReplayDecode *dec)
+{
+    return makeAccounting<FlatModel>(k, dec);
 }
 
 AccessCounts
-replayBaseline(const Kernel &k, const DecodedTrace &trace,
-               const ReplayDecode *dec)
+runBaseline(const Kernel &k, const RunConfig &cfg)
 {
-    // Pre-resolve the two per-instruction quantities the flat-MRF
-    // accounting needs (or borrow them from a shared decode).
-    const int n = k.numInstrs();
-    std::optional<ReplayDecode> local;
-    if (!dec)
-        dec = &local.emplace(k);
-    AccessCounts counts;
-    const std::size_t total = trace.lin.size();
-    if (trace.hasPlanes()) {
-        // Flat-MRF accounting is a pure sum of per-instruction deltas:
-        // histogram the stream by static instruction and apply each
-        // delta once. The rare not-executed records come from a
-        // popcount-style sweep of the executed bit-plane's clear bits.
-        ReplayArena &arena = acquireThreadReplayArena();
-        std::uint32_t *histAll = arena.allocZeroed<std::uint32_t>(n);
-        std::uint32_t *histOff = arena.allocZeroed<std::uint32_t>(n);
-        histogramRecords(trace.lin.data(), total, histAll);
-        if (trace.executedInstrs != total)
-            histogramClearBits(trace.execWords.data(),
-                               trace.lin.data(), total, histOff);
-        for (int lin = 0; lin < n; lin++) {
-            const std::uint64_t all = histAll[lin];
-            if (all == 0)
-                continue;
-            const Datapath dp =
-                static_cast<Datapath>(dec->datapath[lin]);
-            counts.read(Level::MRF, dp, dec->regReads[lin] * all);
-            counts.write(Level::MRF, dp,
-                         dec->regWrites[lin] * (all - histOff[lin]));
-        }
-    } else {
-        for (std::size_t t = 0; t < total; t++) {
-            const int lin = trace.lin[t];
-            const Datapath dp =
-                static_cast<Datapath>(dec->datapath[lin]);
-            counts.read(Level::MRF, dp, dec->regReads[lin]);
-            if (trace.flags[t] & kReplayExecuted)
-                counts.write(Level::MRF, dp, dec->regWrites[lin]);
-        }
-    }
-    counts.instructions = trace.instructions();
-    return counts;
+    std::unique_ptr<SchemeAccounting> acct = flatAccounting(k);
+    acct->driveStepper(k, cfg);
+    return acct->counts();
 }
 
 void

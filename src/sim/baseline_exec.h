@@ -13,6 +13,7 @@
 #define RFH_SIM_BASELINE_EXEC_H
 
 #include <cstdint>
+#include <memory>
 
 #include "ir/kernel.h"
 #include "sim/access_counters.h"
@@ -31,19 +32,17 @@ struct RunConfig
 /** Execute @p k against a flat MRF and count accesses. */
 AccessCounts runBaseline(const Kernel &k, const RunConfig &cfg = {});
 
-struct DecodedTrace;
 struct ReplayDecode;
+class SchemeAccounting;
 
 /**
- * Replay-mode counterpart of runBaseline: derive the flat-MRF counts
- * from a pre-decoded trace of @p k without re-executing the machine.
- * Identical counts to runBaseline on the trace's RunConfig.
- *
- * @param dec optional shared pre-decode of @p k (e.g. from
- *        ExperimentCache::decode); built locally when null.
+ * Flat single-level accounting of @p k (sim/drive.h): every register
+ * operand is an MRF access — the baseline and GREENER schemes;
+ * runBaseline is its stepper clock. @p dec may be null (a private
+ * decode is built); @p k and @p dec must outlive the result.
  */
-AccessCounts replayBaseline(const Kernel &k, const DecodedTrace &trace,
-                            const ReplayDecode *dec = nullptr);
+std::unique_ptr<SchemeAccounting> flatAccounting(
+    const Kernel &k, const ReplayDecode *dec = nullptr);
 
 /** Dynamic register-usage statistics (Figure 2). */
 struct UsageStats

@@ -18,9 +18,9 @@
  *
  * Long-latency results bypass the hierarchy and deschedule handling
  * matches the hardware scheme (all live cached values flush to the
- * MRF when the warp swaps out). Both executors drive the same per-warp
- * accounting model, so direct and replay counts are identical by
- * construction.
+ * MRF when the warp swaps out). One per-warp model serves every clock
+ * of sim/drive.h, so direct, replay and pipeline counts are identical
+ * by construction.
  */
 
 #ifndef RFH_SIM_CC_RFC_H
@@ -32,21 +32,11 @@
 
 #include "ir/analysis_bundle.h"
 #include "ir/kernel.h"
-#include "sim/access_counters.h"
-#include "sim/baseline_exec.h"
 
 namespace rfh {
 
-struct DecodedTrace;
 struct ReplayDecode;
-
-/** Compiler-assisted RFC configuration. */
-struct CcRfcConfig
-{
-    /** RFC entries per thread (1..8). */
-    int entries = 3;
-    RunConfig run;
-};
+class SchemeAccounting;
 
 /**
  * Static next-use window of the allocation hint: a definition is
@@ -60,49 +50,30 @@ int ccRfcHintWindow(int entries);
  * Compute the per-instruction allocation hints of @p k for a cache of
  * @p entries: hint[lin] is non-zero when the result defined at @p lin
  * should be inserted into the RFC. Wide (64-bit) and long-latency
- * results always bypass. Deterministic and purely static, so both
- * executors derive identical hints.
+ * results always bypass. Deterministic and purely static, so every
+ * clock sees identical hints.
  */
 std::vector<std::uint8_t> ccRfcAllocationHints(const Kernel &k,
                                                int entries);
 
 /**
- * Execute @p k under the compiler-assisted RFC and count accesses.
+ * Compiler-assisted-RFC accounting of @p k for an RFC of @p entries
+ * per thread, drivable from the stepper, a trace, or the pipeline
+ * (sim/drive.h). RFC hits are collector bypass operands under the
+ * pipeline clock.
  *
  * @param analyses optional precomputed analyses (liveness feeds the
  *        last-read hints and writeback elision); computed locally
  *        when null.
  * @param dec optional shared pre-decode (ExperimentCache::decode);
  *        built locally when null.
+ *
+ * @p k, @p analyses and @p dec must outlive the result.
  */
-AccessCounts runCcRfc(const Kernel &k, const CcRfcConfig &cfg = {},
-                      const AnalysisBundle *analyses = nullptr,
-                      const ReplayDecode *dec = nullptr);
-
-/**
- * Replay-mode counterpart of runCcRfc: walk the pre-decoded dynamic
- * stream @p trace (recorded from @p k under the same RunConfig as
- * @p cfg.run). Counts are identical to runCcRfc by construction —
- * both drive the same per-warp accounting model.
- */
-AccessCounts replayCcRfc(const Kernel &k, const CcRfcConfig &cfg,
-                         const DecodedTrace &trace,
-                         const AnalysisBundle *analyses = nullptr,
-                         const ReplayDecode *dec = nullptr);
-
-class PipelineAccounting;
-
-/**
- * Per-warp compiler-assisted-RFC accounting for the cycle-level
- * pipeline (sim/pipeline.h): the same CcWarpSim state machine the
- * executors drive, called once per dynamic instruction at issue. RFC
- * hits become collector bypass operands. @p k, @p analyses, @p dec,
- * and @p counts must outlive the returned object.
- */
-std::unique_ptr<PipelineAccounting> makeCcRfcAccounting(
-    const Kernel &k, const CcRfcConfig &cfg,
-    const AnalysisBundle *analyses, const ReplayDecode *dec,
-    AccessCounts &counts);
+std::unique_ptr<SchemeAccounting> ccRfcAccounting(
+    const Kernel &k, int entries,
+    const AnalysisBundle *analyses = nullptr,
+    const ReplayDecode *dec = nullptr);
 
 } // namespace rfh
 

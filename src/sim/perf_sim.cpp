@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sim/pipeline.h"
-#include "sim/pipeline_account.h"
 #include "sim/trace.h"
 
 namespace rfh {
@@ -41,8 +40,7 @@ runDecoded(const Kernel &k, DecodedTrace &trace, const PerfConfig &cfg)
     if (!trace.hasPlanes())
         trace.buildPlanes(k);
     ReplayDecode dec(k);
-    AccessCounts counts;
-    auto acct = makeFlatAccounting(k, &dec, counts);
+    std::unique_ptr<SchemeAccounting> acct = flatAccounting(k, &dec);
     PipelineResult r = runPipeline(trace, dec, *acct,
                                    pipelineConfigOf(cfg));
     PerfResult out;

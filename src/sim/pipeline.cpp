@@ -548,7 +548,7 @@ class IssueStage final : public Ticked
 
 PipelineResult
 runPipeline(const DecodedTrace &trace, const ReplayDecode &dec,
-            PipelineAccounting &acct, const PipelineConfig &cfg)
+            SchemeAccounting &acct, const PipelineConfig &cfg)
 {
     PipelineResult result;
     const int n = trace.numWarps();

@@ -18,12 +18,13 @@
  * pipes with a shared-unit issue interval; writeback releases the
  * scoreboard.
  *
- * Counting is delegated to the scheme's WarpAccountant at issue
- * (sim/pipeline_account.h), so access totals are identical to the
- * functional trace path by construction; the verify oracle enforces
- * that per scheme and warp count. Timing-only quantities (cycles, IPC,
- * swaps, stall breakdown) live in PipelineStats. Fully deterministic:
- * identical inputs produce identical stats, bit for bit.
+ * Counting is delegated to the scheme's accounting at issue — the
+ * pipeline is one of the three clocks of sim/drive.h — so access
+ * totals are identical to the functional trace path by construction;
+ * the verify oracle enforces that per scheme and warp count.
+ * Timing-only quantities (cycles, IPC, swaps, stall breakdown) live in
+ * PipelineStats. Fully deterministic: identical inputs produce
+ * identical stats, bit for bit.
  */
 
 #ifndef RFH_SIM_PIPELINE_H
@@ -33,8 +34,8 @@
 #include <string>
 #include <string_view>
 
+#include "sim/drive.h"
 #include "sim/mrf_banks.h"
-#include "sim/pipeline_account.h"
 
 namespace rfh {
 
@@ -160,13 +161,13 @@ struct PipelineResult
  * @param trace per-warp dynamic record stream (recordDecodedTrace).
  * @param dec shared static pre-decode of the same kernel (scoreboard
  *        sets, unit classes, latency classification).
- * @param acct scheme accounting factory; its AccessCounts accumulator
- *        receives every warp's counts.
+ * @param acct scheme accounting; its counts() accumulator receives
+ *        every warp's counts.
  * @param cfg timing parameters.
  */
 PipelineResult runPipeline(const DecodedTrace &trace,
                            const ReplayDecode &dec,
-                           PipelineAccounting &acct,
+                           SchemeAccounting &acct,
                            const PipelineConfig &cfg = {});
 
 } // namespace rfh

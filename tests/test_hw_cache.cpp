@@ -9,17 +9,27 @@
 
 #include "ir/parser.h"
 #include "sim/baseline_exec.h"
+#include "sim/drive.h"
 #include "sim/hw_cache.h"
 
 namespace rfh {
 namespace {
 
+/** Step one warp of @p k through the generic driver. */
+AccessCounts
+stepHwCache(const Kernel &k, const HwCacheConfig &cfg)
+{
+    RunConfig rc;
+    rc.numWarps = 1;
+    std::unique_ptr<SchemeAccounting> acct = hwCacheAccounting(k, cfg);
+    acct->driveStepper(k, rc);
+    return acct->counts();
+}
+
 AccessCounts
 run(std::string_view text, HwCacheConfig cfg = {})
 {
-    Kernel k = parseKernelOrDie(text);
-    cfg.run.numWarps = 1;
-    return runHwCache(k, cfg);
+    return stepHwCache(parseKernelOrDie(text), cfg);
 }
 
 TEST(HwCache, ProducerConsumerHitsCache)
@@ -225,12 +235,11 @@ out:
     exit
 )";
     HwCacheConfig keep;
-    keep.run.numWarps = 1;
     HwCacheConfig flush = keep;
     flush.flushOnBackwardBranch = true;
     Kernel k = parseKernelOrDie(loop);
-    AccessCounts ck = runHwCache(k, keep);
-    AccessCounts cf = runHwCache(k, flush);
+    AccessCounts ck = stepHwCache(k, keep);
+    AccessCounts cf = stepHwCache(k, flush);
     // Flushing at backward branches forces loop-carried values back to
     // the MRF: more MRF traffic, more writebacks.
     EXPECT_GT(cf.totalReads(Level::MRF), ck.totalReads(Level::MRF));

@@ -15,6 +15,7 @@
 #include "core/experiment.h"
 #include "core/json.h"
 #include "ir/parser.h"
+#include "sim/baseline_exec.h"
 #include "sim/perf_sim.h"
 #include "sim/pipeline.h"
 #include "sim/port.h"
@@ -94,11 +95,10 @@ runFlat(const Kernel &k, int warps, const PipelineConfig &cfg,
     rc.numWarps = warps;
     DecodedTrace trace = recordDecodedTrace(k, rc);
     ReplayDecode dec(k);
-    AccessCounts counts;
-    auto acct = makeFlatAccounting(k, &dec, counts);
+    std::unique_ptr<SchemeAccounting> acct = flatAccounting(k, &dec);
     PipelineResult r = runPipeline(trace, dec, *acct, cfg);
     if (countsOut)
-        *countsOut = counts;
+        *countsOut = acct->counts();
     return r;
 }
 
@@ -252,13 +252,12 @@ TEST(Pipeline, EveryRecordIssuesExactlyOnce)
         cfg.policy = p;
         cfg.activeWarps = 3;
         cfg.collectorSlots = 1;
-        AccessCounts counts;
-        auto acct = makeFlatAccounting(k, &dec, counts);
+        std::unique_ptr<SchemeAccounting> acct = flatAccounting(k, &dec);
         PipelineResult r = runPipeline(trace, dec, *acct, cfg);
         ASSERT_TRUE(r.ok()) << r.error;
         EXPECT_EQ(r.stats.issued, trace.instructions())
             << schedPolicyName(p);
-        EXPECT_EQ(counts.instructions, trace.instructions())
+        EXPECT_EQ(acct->counts().instructions, trace.instructions())
             << schedPolicyName(p);
     }
 }
@@ -421,8 +420,6 @@ TEST(Pipeline, SchemeRunsMatchFunctionalCountsOnAWorkload)
 {
     const Workload &w = workloadByName("scalarprod");
     for (const SchemeInfo *si : SchemeRegistry::instance().schemes()) {
-        if (!si->caps.pipelined)
-            continue;
         ExperimentConfig cfg;
         cfg.scheme = si->scheme;
         cfg.engine = ExecEngine::REPLAY;

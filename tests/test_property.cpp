@@ -18,6 +18,7 @@
 #include "compiler/regalloc.h"
 #include "compiler/scheduler.h"
 #include "sim/baseline_exec.h"
+#include "sim/drive.h"
 #include "sim/hw_cache.h"
 #include "sim/sw_exec.h"
 #include "workloads/synthetic.h"
@@ -108,10 +109,11 @@ TEST_P(HierarchyProperty, HwCacheAccountingConsistent)
     HwCacheConfig cfg;
     cfg.rfcEntries = c.orfEntries;
     cfg.useLRF = c.useLRF;
-    cfg.run.numWarps = 2;
-    AccessCounts hw = runHwCache(k, cfg);
     RunConfig rc;
     rc.numWarps = 2;
+    std::unique_ptr<SchemeAccounting> acct = hwCacheAccounting(k, cfg);
+    acct->driveStepper(k, rc);
+    AccessCounts hw = acct->counts();
     AccessCounts base = runBaseline(k, rc);
     // Demand reads equal baseline; writebacks only add traffic.
     EXPECT_EQ(hw.allReads() - hw.wbReads, base.allReads());

@@ -22,6 +22,7 @@
 #include "core/metrics.h"
 #include "core/sweep.h"
 #include "sim/baseline_exec.h"
+#include "sim/drive.h"
 #include "sim/hw_cache.h"
 #include "sim/sw_exec.h"
 #include "sim/sw_exec_simt.h"
@@ -243,7 +244,9 @@ TEST_P(ReplayProperty, BaselineCountsMatchDirect)
     RunConfig run;
     DecodedTrace trace = recordDecodedTrace(k, run);
     AccessCounts direct = runBaseline(k, run);
-    AccessCounts replay = replayBaseline(k, trace);
+    std::unique_ptr<SchemeAccounting> flat = flatAccounting(k);
+    flat->driveTrace(trace);
+    AccessCounts replay = flat->counts();
     EXPECT_EQ(countsJson(direct), countsJson(replay)) << "seed=" << seed;
 }
 
@@ -258,9 +261,16 @@ TEST_P(ReplayProperty, HwCountsMatchDirect)
         cfg.rfcEntries = 1 + static_cast<int>(seed % kMaxOrfEntries);
         cfg.useLRF = lrf;
         cfg.flushOnBackwardBranch = seed % 3 == 0;
-        DecodedTrace trace = recordDecodedTrace(k, cfg.run);
-        AccessCounts direct = runHwCache(k, cfg);
-        AccessCounts replay = replayHwCache(k, cfg, trace);
+        RunConfig run;
+        DecodedTrace trace = recordDecodedTrace(k, run);
+        std::unique_ptr<SchemeAccounting> stepped =
+            hwCacheAccounting(k, cfg);
+        stepped->driveStepper(k, run);
+        std::unique_ptr<SchemeAccounting> replayed =
+            hwCacheAccounting(k, cfg);
+        replayed->driveTrace(trace);
+        AccessCounts direct = stepped->counts();
+        AccessCounts replay = replayed->counts();
         EXPECT_EQ(countsJson(direct), countsJson(replay))
             << "seed=" << seed << " lrf=" << lrf;
     }

@@ -22,8 +22,10 @@
 #include "core/json.h"
 #include "core/leaderboard.h"
 #include "core/memo.h"
+#include "core/metrics.h"
 #include "core/scheme.h"
 #include "service/protocol.h"
+#include "sim/drive.h"
 #include "verify/oracle.h"
 #include "verify/rptx_fuzz.h"
 #include "workloads/registry.h"
@@ -31,16 +33,61 @@
 namespace rfh {
 namespace {
 
-/** Trivial backend: echoes the flat baseline counts. */
+/**
+ * Flat accounting written against the author contract alone: one
+ * per-run model with one per-record class (sim/drive.h). Every
+ * register operand is an MRF access, so its counts echo the flat
+ * baseline under every clock.
+ */
+struct EchoModel
+{
+    static constexpr const char *kMetrics = "sim.testecho";
+
+    explicit EchoModel(const Kernel &kernel) : k(kernel) {}
+
+    class Warp
+    {
+      public:
+        Warp(const EchoModel &m, AccessCounts &counts, ReplayArena &)
+            : k_(m.k), counts_(counts)
+        {
+        }
+
+        void
+        onInstr(int lin, bool enabled, bool /*taken*/,
+                std::int32_t /*nextLin*/, OperandPlan *plan)
+        {
+            const Instruction &in = k_.instr(lin);
+            const Datapath dp = datapathOf(in.unit());
+            counts_.read(Level::MRF, dp, in.numRegReads());
+            if (enabled)
+                counts_.write(Level::MRF, dp, in.numRegWrites());
+            counts_.instructions++;
+            if (!plan)
+                return;
+            for (int s = 0; s < in.numSrcs; s++)
+                if (in.srcs[s].isReg)
+                    plan->mrfReg[plan->numMrf++] = in.srcs[s].reg;
+            if (in.pred)
+                plan->mrfReg[plan->numMrf++] = *in.pred;
+        }
+
+      private:
+        const Kernel &k_;
+        AccessCounts &counts_;
+    };
+
+    const Kernel &k;
+};
+
+/** Backend implementing only the one required method. */
 class EchoScheme : public SchemeBackend
 {
   public:
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
+    std::unique_ptr<SchemeAccounting>
+    accounting(const SchemeRunContext &ctx) const override
     {
-        SchemeSimResult r;
-        r.counts = *ctx.baseline;
-        return r;
+        return makeAccounting<EchoModel>(*ctx.kernel);
     }
 };
 
@@ -52,7 +99,6 @@ echoSpec()
     s.display = "Echo";
     s.summary = "test-only baseline echo";
     s.caps.usesAnalyses = false;
-    s.caps.usesTrace = false;
     s.caps.sweepsEntries = false;
     return s;
 }
@@ -263,6 +309,51 @@ TEST(SchemeDispatch, PaperSchemesAreEngineByteIdentical)
     }
 }
 
+TEST(SchemeDispatch, OneMethodBackendRunsUnderEveryClock)
+{
+    // The echo backend implements only accounting(): the base class
+    // must drive it from the stepper (DIRECT) and the trace (REPLAY),
+    // and the pipeline must drive it at issue, all with identical
+    // counts — the flat baseline's.
+    const SchemeInfo *si =
+        SchemeRegistry::instance().findToken("testecho");
+    ASSERT_NE(si, nullptr);
+    const Workload &w = workloadByName("vectoradd");
+    Counter &runs = globalMetrics().counter("sim.testecho.runs");
+    Counter &replays =
+        globalMetrics().counter("sim.testecho.runs.replay");
+    const std::uint64_t runs0 = runs.value();
+    const std::uint64_t replays0 = replays.value();
+
+    ExperimentConfig cfg;
+    cfg.scheme = si->scheme;
+    cfg.engine = ExecEngine::DIRECT;
+    RunOutcome direct = runScheme(w, cfg);
+    cfg.engine = ExecEngine::REPLAY;
+    RunOutcome replay = runScheme(w, cfg);
+    SchemePipelineResult pipe = runSchemePipeline(w, cfg);
+    ASSERT_TRUE(direct.ok()) << direct.error;
+    ASSERT_TRUE(replay.ok()) << replay.error;
+    ASSERT_TRUE(pipe.ok()) << pipe.error;
+    EXPECT_EQ(runs.value() - runs0, 2u);
+    EXPECT_EQ(replays.value() - replays0, 1u);
+
+    EXPECT_EQ(describeCountsDiff(direct.counts, replay.counts), "");
+    EXPECT_EQ(describeCountsDiff(pipe.counts, direct.counts), "");
+    EXPECT_EQ(pipe.stats.issued, direct.counts.instructions);
+    cfg.scheme = Scheme::BASELINE;
+    RunOutcome base = runScheme(w, cfg);
+    EXPECT_EQ(describeCountsDiff(direct.counts, base.counts), "");
+
+    // The perf pass reaches every backend: no capability gates it.
+    cfg.scheme = si->scheme;
+    cfg.perf = true;
+    RunOutcome perf = runScheme(w, cfg);
+    ASSERT_TRUE(perf.ok()) << perf.error;
+    EXPECT_TRUE(perf.hasPerf);
+    EXPECT_EQ(perf.perf.cycles, pipe.stats.cycles);
+}
+
 TEST(SchemeDispatch, UnregisteredSchemeFailsWithTokenList)
 {
     const Workload &w = workloadByName("vectoradd");
@@ -287,8 +378,7 @@ expectedOraclePairs(const OracleOptions &oo)
         if (si->caps.hwManaged && !oo.checkHwSchemes)
             continue;
         pairs++;  // direct vs replay
-        if (si->caps.pipelined)
-            pairs++;  // pipeline vs functional
+        pairs++;  // pipeline vs functional
         if (si->caps.usesAllocator) {
             pairs++;  // conservation on the scalar run
             if (oo.checkSimt)

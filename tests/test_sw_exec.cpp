@@ -141,6 +141,66 @@ entry:
     EXPECT_NE(r.error.find("ORF entry"), std::string::npos);
 }
 
+/**
+ * Run @p c three times and require the same structured out-of-range
+ * error each time: an annotation naming a missing ORF slot must never
+ * index past the ORF (ASan/UBSan builds abort if it does).
+ */
+void
+expectOrfRangeError(const Compiled &c)
+{
+    const std::string expected =
+        "ORF entry " + std::to_string(c.opts.orfEntries) +
+        " out of range";
+    std::string first;
+    for (int rep = 0; rep < 3; rep++) {
+        SwExecResult r = c.run(2);
+        ASSERT_FALSE(r.ok());
+        EXPECT_NE(r.error.find(expected), std::string::npos) << r.error;
+        if (rep == 0)
+            first = r.error;
+        EXPECT_EQ(r.error, first);
+    }
+}
+
+TEST(SwExecBounds, TamperedOrfReadEntryIsAStructuredError)
+{
+    Compiled c(R"(.kernel badread
+entry:
+    iadd R1, R0, #1
+    iadd R2, R1, #2
+    st.shared [R0], R2
+    exit
+)");
+    Instruction &use = c.kernel.instr(1);
+    ASSERT_EQ(use.readAnno[0].level, Level::ORF);
+    use.readAnno[0].entry = static_cast<std::uint8_t>(c.opts.orfEntries);
+    expectOrfRangeError(c);
+}
+
+TEST(SwExecBounds, TamperedDepositEntryIsAStructuredError)
+{
+    Compiled c(R"(.kernel baddep
+entry:
+    iadd R1, R0, #1
+    iadd R2, R0, #2
+    iadd R3, R0, #3
+    st.shared [R1], R2
+    st.shared [R3], R0
+    exit
+)");
+    ReadAnnotation *deposit = nullptr;
+    for (int lin = 0; lin < c.kernel.numInstrs() && !deposit; lin++) {
+        Instruction &in = c.kernel.instr(lin);
+        for (int s = 0; s < in.numSrcs && !deposit; s++)
+            if (in.srcs[s].isReg && in.readAnno[s].depositToORF)
+                deposit = &in.readAnno[s];
+    }
+    ASSERT_NE(deposit, nullptr);
+    deposit->entry = static_cast<std::uint8_t>(c.opts.orfEntries);
+    expectOrfRangeError(c);
+}
+
 TEST(SwExec, MissingOrfWriteDetected)
 {
     Compiled c(R"(.kernel bad2

@@ -80,7 +80,7 @@ TEST(VerifyOracle, CorpusIsClean)
 
 /**
  * The acceptance bar of the cycle-level pipeline: for every corpus
- * kernel, every pipelined scheme, and warp counts {1, 4, 8, 32}, the
+ * kernel, every registered scheme, and warp counts {1, 4, 8, 32}, the
  * pipeline's issue-time accounting must equal the functional replay
  * path — dynamic instruction count and every per-level access total.
  * Compressed latencies keep the sweep fast; counts are
@@ -107,8 +107,6 @@ TEST(VerifyOracle, PipelineConservesCountsAcrossWarpCounts)
             w.run.maxInstrsPerWarp = 1u << 16;
             for (const SchemeInfo *si :
                  SchemeRegistry::instance().schemes()) {
-                if (!si->caps.pipelined)
-                    continue;
                 ExperimentConfig cfg;
                 cfg.scheme = si->scheme;
                 cfg.engine = ExecEngine::REPLAY;
