@@ -20,7 +20,6 @@
 #   scripts/check.sh --no-golden  # skip the golden figure-shape gate
 #   scripts/check.sh --no-pipeline # skip the cycle-level pipeline gate
 #   scripts/check.sh --no-serve   # skip the serve+loadgen smoke
-#   scripts/check.sh --no-router  # skip the router fleet smoke
 #   scripts/check.sh --no-vec     # skip the vectorize-report gate
 #   scripts/check.sh --no-compare # skip the leaderboard smoke
 #   scripts/check.sh --no-corpus  # skip the corpus population gate
@@ -43,7 +42,6 @@ run_fuzz=1
 run_golden=1
 run_pipeline=1
 run_serve=1
-run_router=1
 run_vec=1
 run_compare=1
 run_corpus=1
@@ -55,7 +53,6 @@ for arg in "$@"; do
     [[ "$arg" == "--no-golden" ]] && run_golden=0
     [[ "$arg" == "--no-pipeline" ]] && run_pipeline=0
     [[ "$arg" == "--no-serve" ]] && run_serve=0
-    [[ "$arg" == "--no-router" ]] && run_router=0
     [[ "$arg" == "--no-vec" ]] && run_vec=0
     [[ "$arg" == "--no-compare" ]] && run_compare=0
     [[ "$arg" == "--no-corpus" ]] && run_corpus=0
@@ -112,50 +109,48 @@ if [[ "$run_golden" == 1 ]]; then
 fi
 
 if [[ "$run_serve" == 1 ]]; then
-    echo "== batch service smoke: serve + loadgen over a Unix socket =="
-    sock="$(mktemp -u /tmp/rfhc-check-XXXXXX.sock)"
-    "$repo/build/examples/rfhc" serve --socket "$sock" --queue 8 &
-    serve_pid=$!
-    # loadgen retries until the socket appears, verifies every result
-    # byte-for-byte against a local runScheme(), and sends shutdown;
-    # the server must then drain and exit 0 on its own.
-    if ! "$repo/build/examples/rfhc" loadgen --socket "$sock" \
-        --clients 4 --requests 50 --verify --shutdown; then
-        kill "$serve_pid" 2>/dev/null || true
-        echo "check.sh: service loadgen failed" >&2
-        exit 1
-    fi
-    if ! wait "$serve_pid"; then
-        echo "check.sh: rfhc serve did not exit cleanly" >&2
-        exit 1
-    fi
-    rm -f "$sock"
-fi
+    # serve_smoke LABEL [SERVE_ARGS...]: start `rfhc serve` on a fresh
+    # socket; loadgen retries until the socket appears, verifies every
+    # result byte-for-byte against a local runScheme(), and sends
+    # shutdown; the server must then drain and exit 0 on its own.
+    serve_smoke() {
+        local label="$1"; shift
+        local sock pid
+        sock="$(mktemp -u /tmp/rfhc-check-XXXXXX.sock)"
+        "$repo/build/examples/rfhc" serve --socket "$sock" "$@" &
+        pid=$!
+        if ! "$repo/build/examples/rfhc" loadgen --socket "$sock" \
+            --clients 4 --requests 50 --verify --shutdown; then
+            kill "$pid" 2>/dev/null || true
+            echo "check.sh: $label: service loadgen failed" >&2
+            return 1
+        fi
+        if ! wait "$pid"; then
+            echo "check.sh: $label: rfhc serve did not exit cleanly" >&2
+            return 1
+        fi
+        rm -f "$sock"
+    }
 
-if [[ "$run_router" == 1 ]]; then
-    echo "== router fleet smoke: 3 workers + shared disk cache =="
-    rsock="$(mktemp -u /tmp/rfhc-router-XXXXXX.sock)"
-    rcache="$(mktemp -d /tmp/rfhc-cache-XXXXXX)"
-    "$repo/build/examples/rfhc" router --socket "$rsock" --fleet 3 \
-        --cache-dir "$rcache" &
-    router_pid=$!
-    # loadgen verifies every result byte-for-byte, prints the
-    # per-shard breakdown and disk-cache hit ratio, and sends
-    # shutdown; the router must then drain its fleet and exit 0.
-    if ! "$repo/build/examples/rfhc" loadgen --socket "$rsock" \
-        --clients 4 --requests 60 --verify --router --shutdown; then
-        kill "$router_pid" 2>/dev/null || true
-        rm -rf "$rcache"
-        echo "check.sh: router loadgen failed" >&2
-        exit 1
-    fi
-    if ! wait "$router_pid"; then
-        rm -rf "$rcache"
-        echo "check.sh: rfhc router did not exit cleanly" >&2
-        exit 1
-    fi
-    rm -f "$rsock"
-    rm -rf "$rcache"
+    echo "== batch service smoke: serve + loadgen over a Unix socket =="
+    serve_smoke "serve" --queue 8 || exit 1
+
+    echo "== persistent cache smoke: serve --cache-dir, then restart =="
+    # The first start compiles into an empty cache directory; the
+    # restart answers from it. Both must verify byte-for-byte.
+    scache="$(mktemp -d /tmp/rfhc-cache-XXXXXX)"
+    for leg in cold warm; do
+        if ! serve_smoke "$leg cache" --cache-dir "$scache"; then
+            rm -rf "$scache"
+            exit 1
+        fi
+        if [[ -z "$(ls -A "$scache")" ]]; then
+            rm -rf "$scache"
+            echo "check.sh: serve --cache-dir wrote no entries" >&2
+            exit 1
+        fi
+    done
+    rm -rf "$scache"
 fi
 
 if [[ "$run_compare" == 1 ]]; then
@@ -190,7 +185,7 @@ if [[ "$run_corpus" == 1 ]]; then
 
     # Byte-identity smoke at the CLI: the same small corpus must
     # produce identical aggregate JSON at 1 and 4 threads, and again
-    # when served over a Unix socket fleet.
+    # when served by `rfhc serve` over a Unix socket.
     c1="$(mktemp)"; c4="$(mktemp)"; cs="$(mktemp)"
     corpus_args=(corpus --profiles balanced,divergent --n 64
                  --schemes sw3,hw2 --entries 3 --json)
@@ -211,7 +206,7 @@ if [[ "$run_corpus" == 1 ]]; then
             --socket "$csock" >"$cs"; then
             kill "$corpus_serve_pid" 2>/dev/null || true
             rm -f "$c1" "$c4" "$cs"
-            echo "check.sh: corpus fleet run failed" >&2
+            echo "check.sh: corpus run through serve failed" >&2
             exit 1
         fi
         kill "$corpus_serve_pid" 2>/dev/null || true
@@ -219,7 +214,7 @@ if [[ "$run_corpus" == 1 ]]; then
         rm -f "$csock"
         if ! cmp -s "$c1" "$cs"; then
             rm -f "$c1" "$c4" "$cs"
-            echo "check.sh: corpus JSON differs local vs fleet" >&2
+            echo "check.sh: corpus JSON differs local vs serve" >&2
             exit 1
         fi
     fi

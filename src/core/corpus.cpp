@@ -31,7 +31,7 @@ foldHash(std::uint64_t h, std::uint64_t x)
  * Bootstrap seed of cell (@p pi, @p ci): a pure function of the
  * corpus seed and the cell's structural position, so the band — and
  * with it every byte of the aggregate document — is independent of
- * execution order, thread count, and shard layout.
+ * execution order and thread count.
  */
 std::uint64_t
 bandSeed(const CorpusConfig &cfg, std::size_t pi, std::size_t ci)
@@ -111,7 +111,7 @@ corpusSampleFromOutcome(const RunOutcome &o)
 {
     CorpusSample s;
     // The one real-valued sample: quantize it through the result-JSON
-    // wire format so local and fleet-parsed samples are identical.
+    // wire format so local and serve-parsed samples are identical.
     s.normalizedEnergy = wireRound(o.normalizedEnergy());
     for (int l = 0; l < 3; l++) {
         Level lv = static_cast<Level>(l);

@@ -1,14 +1,9 @@
 #include "service/loadgen.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -16,8 +11,8 @@
 
 #include "core/json.h"
 #include "core/manifest.h"
-#include "core/parallel.h"
 #include "core/scheme.h"
+#include "core/stats.h"
 #include "core/timing.h"
 #include "service/net.h"
 #include "service/protocol.h"
@@ -130,87 +125,11 @@ extractResult(const std::string &envelope)
     return envelope.substr(pos, envelope.size() - pos - 1);
 }
 
-/**
- * Log-spaced latency histogram: quarter-octave buckets over
- * microseconds, covering ~1 us to ~5 hours in 256 buckets with a
- * worst-case quantisation error of ~9%. Per-client histograms merge
- * bucket-wise, so percentiles are computed over the whole request
- * population — merging per-client sorted vectors (or worse, maxima)
- * would weight idle clients and busy clients unequally.
- */
-class LatencyHistogram
-{
-  public:
-    void
-    add(double ms)
-    {
-        counts_[bucketOf(ms)]++;
-        total_++;
-    }
-
-    void
-    merge(const LatencyHistogram &other)
-    {
-        for (int i = 0; i < kBuckets; i++)
-            counts_[i] += other.counts_[i];
-        total_ += other.total_;
-    }
-
-    std::uint64_t
-    total() const
-    {
-        return total_;
-    }
-
-    /** Value at quantile @p p in [0,1]: geometric bucket midpoint. */
-    double
-    percentileMs(double p) const
-    {
-        if (total_ == 0)
-            return 0.0;
-        std::uint64_t rank = static_cast<std::uint64_t>(
-            std::ceil(p * static_cast<double>(total_)));
-        rank = std::max<std::uint64_t>(rank, 1);
-        std::uint64_t seen = 0;
-        for (int i = 0; i < kBuckets; i++) {
-            seen += counts_[i];
-            if (seen >= rank)
-                return std::exp2((i + 0.5) / kBucketsPerOctave) / 1e3;
-        }
-        return std::exp2(kBuckets / kBucketsPerOctave) / 1e3;
-    }
-
-  private:
-    static constexpr int kBucketsPerOctave = 4;
-    static constexpr int kBuckets = 256;
-
-    static int
-    bucketOf(double ms)
-    {
-        double us = ms * 1e3;
-        if (us <= 1.0)
-            return 0;
-        int b = static_cast<int>(
-            std::floor(std::log2(us) * kBucketsPerOctave));
-        return std::min(std::max(b, 0), kBuckets - 1);
-    }
-
-    std::uint64_t counts_[kBuckets] = {};
-    std::uint64_t total_ = 0;
-};
-
-/** Per-shard slice of the run (router mode; shard -1 = unknown). */
-struct ShardTally
-{
-    int ok = 0;
-    LatencyHistogram latency;
-};
-
 /** Per-client tallies, merged after the join. */
 struct ClientResult
 {
-    LatencyHistogram latency;
-    std::map<int, ShardTally> shards;
+    /** Latency in ms; merges exactly across clients. */
+    StreamStat latency;
     int ok = 0;
     int mismatches = 0;
     int timeouts = 0;
@@ -250,16 +169,8 @@ clientLoop(const LoadgenOptions &opts, int clientIndex,
                 break;
             }
             if (parsed.value.boolOr("ok", false)) {
-                double ms = sw.elapsedSec() * 1e3;
-                int shard = static_cast<int>(
-                    parsed.value.numberOr("shard", -1.0));
-                out.latency.add(ms);
+                out.latency.add(sw.elapsedSec() * 1e3);
                 out.ok++;
-                if (shard >= 0) {
-                    ShardTally &t = out.shards[shard];
-                    t.ok++;
-                    t.latency.add(ms);
-                }
                 if (opts.verify) {
                     auto it = expected.find(
                         {plan.workload, plan.scheme, plan.entries});
@@ -270,11 +181,10 @@ clientLoop(const LoadgenOptions &opts, int clientIndex,
                             std::fprintf(
                                 stderr,
                                 "rfhc loadgen: MISMATCH on request "
-                                "%d (%s/%s/%d, shard %d):\n"
+                                "%d (%s/%s/%d):\n"
                                 "  got      %s\n  expected %s\n",
                                 i, plan.workload.c_str(),
                                 plan.scheme.c_str(), plan.entries,
-                                shard,
                                 extractResult(response).c_str(),
                                 it == expected.end()
                                     ? "<none>"
@@ -306,58 +216,6 @@ clientLoop(const LoadgenOptions &opts, int clientIndex,
             out.exhausted++;
     }
     netClose(fd);
-}
-
-/**
- * Fleet cache counters pulled from the `stats` op after the run
- * (router mode): the disk-cache hit ratio proves whether a restarted
- * fleet actually started warm.
- */
-struct FleetStats
-{
-    bool ok = false;
-    double diskHits = 0, diskMisses = 0;
-    double memoHits = 0, memoMisses = 0;
-    double routed = 0, rerouted = 0, restarts = 0;
-};
-
-FleetStats
-queryStats(const std::string &socketPath)
-{
-    FleetStats fs;
-    int fd = netConnect(socketPath);
-    if (fd < 0)
-        return fs;
-    std::string buf, response;
-    bool got = netSendLine(fd, R"({"id":0,"op":"stats"})") &&
-               netReadLine(fd, buf, response);
-    netClose(fd);
-    if (!got)
-        return fs;
-    JsonParseResult parsed = parseJson(response);
-    if (!parsed.ok || !parsed.value.boolOr("ok", false))
-        return fs;
-    if (const JsonValue *stats = parsed.value.find("stats")) {
-        if (const JsonValue *disk = stats->find("disk")) {
-            fs.diskHits = disk->numberOr("hits", 0.0);
-            fs.diskMisses = disk->numberOr("misses", 0.0);
-        }
-        if (const JsonValue *memo = stats->find("memo")) {
-            fs.memoHits = memo->numberOr("baseline_hits", 0.0) +
-                          memo->numberOr("analysis_hits", 0.0) +
-                          memo->numberOr("trace_hits", 0.0);
-            fs.memoMisses = memo->numberOr("baseline_misses", 0.0) +
-                            memo->numberOr("analysis_misses", 0.0) +
-                            memo->numberOr("trace_misses", 0.0);
-        }
-    }
-    if (const JsonValue *router = parsed.value.find("router")) {
-        fs.routed = router->numberOr("routed", 0.0);
-        fs.rerouted = router->numberOr("rerouted", 0.0);
-        fs.restarts = router->numberOr("restarts", 0.0);
-    }
-    fs.ok = true;
-    return fs;
 }
 
 } // namespace
@@ -425,14 +283,9 @@ runLoadgen(const LoadgenOptions &opts)
         total.exhausted += r.exhausted;
         transportFailed |= r.transportFailed;
         total.latency.merge(r.latency);
-        for (const auto &[shard, t] : r.shards) {
-            ShardTally &agg = total.shards[shard];
-            agg.ok += t.ok;
-            agg.latency.merge(t.latency);
-        }
     }
-    double p50 = total.latency.percentileMs(0.50);
-    double p99 = total.latency.percentileMs(0.99);
+    double p50 = total.latency.quantile(0.50);
+    double p99 = total.latency.quantile(0.99);
     double throughput = wallSec > 0 ? total.ok / wallSec : 0.0;
 
     std::printf("rfhc loadgen: %d clients, %d requests, %.2fs wall\n",
@@ -448,34 +301,6 @@ runLoadgen(const LoadgenOptions &opts)
         std::printf("  verify: %d mismatches across %d results\n",
                     total.mismatches, total.ok);
 
-    FleetStats fleet;
-    if (opts.router) {
-        for (const auto &[shard, t] : total.shards)
-            std::printf("  shard %d: %d ok, %.1f req/s, p50 %.2f ms, "
-                        "p99 %.2f ms\n",
-                        shard, t.ok,
-                        wallSec > 0 ? t.ok / wallSec : 0.0,
-                        t.latency.percentileMs(0.50),
-                        t.latency.percentileMs(0.99));
-        fleet = queryStats(opts.socketPath);
-        if (fleet.ok) {
-            double diskTotal = fleet.diskHits + fleet.diskMisses;
-            double memoTotal = fleet.memoHits + fleet.memoMisses;
-            std::printf(
-                "  disk cache: %.0f hits / %.0f misses (hit ratio "
-                "%.2f), memo hit ratio %.2f\n",
-                fleet.diskHits, fleet.diskMisses,
-                diskTotal > 0 ? fleet.diskHits / diskTotal : 0.0,
-                memoTotal > 0 ? fleet.memoHits / memoTotal : 0.0);
-            std::printf("  router: %.0f routed, %.0f rerouted, "
-                        "%.0f restarts\n",
-                        fleet.routed, fleet.rerouted, fleet.restarts);
-        } else {
-            std::fprintf(stderr,
-                         "rfhc loadgen: stats query failed; no cache "
-                         "report\n");
-        }
-    }
     if (transportFailed)
         std::fprintf(stderr,
                      "rfhc loadgen: transport failure (is the server "
@@ -506,7 +331,6 @@ runLoadgen(const LoadgenOptions &opts)
             {"clients", std::to_string(opts.clients)},
             {"requests", std::to_string(opts.requests)},
             {"verify", opts.verify ? "true" : "false"},
-            {"router", opts.router ? "true" : "false"},
         };
         m.timing.wallSec = wallSec;
         m.timing.threads = opts.clients;
@@ -515,13 +339,6 @@ runLoadgen(const LoadgenOptions &opts)
             {"rfhc.loadgen/p50", p50, "ms", false},
             {"rfhc.loadgen/p99", p99, "ms", false},
         };
-        if (opts.router && fleet.ok) {
-            double diskTotal = fleet.diskHits + fleet.diskMisses;
-            m.benchmarks.push_back(
-                {"rfhc.loadgen/disk_hit_ratio",
-                 diskTotal > 0 ? fleet.diskHits / diskTotal : 0.0,
-                 "ratio", true});
-        }
         if (!opts.manifestPath.empty()) {
             if (!writeManifest(opts.manifestPath, m)) {
                 std::fprintf(stderr, "rfhc: cannot write %s\n",

@@ -111,10 +111,9 @@ struct ParsedRequest
 ParsedRequest parseServiceRequest(const std::string &line);
 
 /**
- * Canonical re-serialization of a parsed request. The router forwards
- * client lines to workers with a router-assigned id; since clients may
- * order fields arbitrarily, it re-serialises through this (id first,
- * then every field in a fixed order) rather than patching text.
+ * Canonical serialization of a request: id first, then every field
+ * in a fixed order. The corpus client (service/corpus_client.h) builds
+ * its request lines through this rather than formatting text by hand.
  * parseServiceRequest(serviceRequestToJson(r)) reproduces r exactly.
  */
 std::string serviceRequestToJson(const ServiceRequest &req);

@@ -667,8 +667,8 @@ runServe(const ServeOptions &opts)
         TraceEventLog::global().enable();
 
     // Attach the persistent compile cache before serving: memo misses
-    // then hydrate from disk (a restarted worker skips recompilation)
-    // and write computed entries back for the rest of the fleet.
+    // then hydrate from disk (a restarted server skips recompilation)
+    // and write computed entries back for later runs.
     std::unique_ptr<DiskCache> diskCache;
     if (!opts.cacheDir.empty()) {
         DiskCacheOptions dco;

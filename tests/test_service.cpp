@@ -6,24 +6,30 @@
  * position/context (JSON parse offsets, RPTX line numbers, the valid
  * scheme set, the queue capacity). The service tests drive a real
  * BatchService on its own small pool through the inference-server
- * paths — deadline expiry, load shedding, graceful drain — and the
- * concurrency test requires every response's result document to be
- * byte-identical to a direct runScheme() of the same configuration,
- * the invariant that lets clients switch between the CLI and the
- * service without re-baselining.
+ * paths — deadline expiry, load shedding, graceful drain, a warm
+ * restart on the persistent disk cache — and the concurrency test
+ * requires every response's result document to be byte-identical to
+ * a direct runScheme() of the same configuration, the invariant that
+ * lets clients switch between the CLI and the service without
+ * re-baselining.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
 #include <future>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/diskcache.h"
 #include "core/json.h"
+#include "core/memo.h"
 #include "core/parallel.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -143,9 +149,10 @@ TEST(ServiceProtocol, EnvelopesAreExactBytes)
 
 TEST(ServiceProtocol, CanonicalSerializationRoundTrips)
 {
-    // The router re-serializes parsed requests before forwarding, so
-    // parse(toJson(parse(line))) must reproduce every field exactly —
-    // regardless of the original key order.
+    // The corpus client builds its request lines through
+    // serviceRequestToJson, so parse(toJson(parse(line))) must
+    // reproduce every field exactly — regardless of the original key
+    // order.
     const char *lines[] = {
         R"({"id":7,"op":"run","workload":"vectoradd"})",
         R"({"scheme":"hw2","id":"abc","op":"run","entries":4,)"
@@ -524,6 +531,71 @@ TEST(ServiceServer, CacheEvictionKeepsResultsIdentical)
         }
     svc.drain();
     EXPECT_EQ(svc.stats().ok, 6u);
+}
+
+TEST(ServiceServer, DiskCacheWarmsARestartedService)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() /
+        ("rfh-svc-cache-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const char *lines[] = {
+        R"({"id":1,"workload":"matrixmul","scheme":"sw3"})",
+        R"({"id":2,"workload":"reduction","scheme":"hw2","entries":2})",
+        R"({"id":3,"workload":"histogram","scheme":"ccrfc"})",
+        R"({"id":4,"op":"stats"})",
+    };
+
+    // One service lifetime as `rfhc serve --cache-dir` runs it: a
+    // fresh DiskCache over the shared directory attached to an empty
+    // process-wide memo, so every kernel is a memo miss.
+    auto lifetime = [&] {
+        DiskCache dc({dir.string(), 0, kDiskCacheVersion});
+        globalExperimentCache().clear();
+        globalExperimentCache().attachDiskCache(&dc);
+        ThreadPool pool(2);
+        ServiceOptions so;
+        so.pool = &pool;
+        BatchService svc(so);
+        svc.start();
+        std::vector<std::string> out;
+        for (const char *line : lines)
+            out.push_back(runOne(svc, line));
+        svc.drain();
+        globalExperimentCache().attachDiskCache(nullptr);
+        return out;
+    };
+    auto disk = [](const std::string &statsLine, const char *key) {
+        JsonParseResult parsed = parseJson(statsLine);
+        EXPECT_TRUE(parsed.ok) << statsLine;
+        const JsonValue *stats = parsed.value.find("stats");
+        const JsonValue *d = stats ? stats->find("disk") : nullptr;
+        EXPECT_NE(d, nullptr) << statsLine;
+        EXPECT_TRUE(d && d->boolOr("attached", false)) << statsLine;
+        return d ? d->numberOr(key, -1.0) : -1.0;
+    };
+
+    std::vector<std::string> cold = lifetime();
+    EXPECT_EQ(disk(cold.back(), "hits"), 0.0) << cold.back();
+    EXPECT_GT(disk(cold.back(), "writes"), 0.0) << cold.back();
+    ASSERT_FALSE(fs::is_empty(dir));
+
+    std::vector<std::string> warm = lifetime();
+    EXPECT_GT(disk(warm.back(), "hits"), 0.0) << warm.back();
+    EXPECT_EQ(disk(warm.back(), "writes"), 0.0) << warm.back();
+    fs::remove_all(dir);
+
+    // Disk-loaded entries answer byte-identically to a cold compile,
+    // and both match a direct run with no disk cache attached.
+    for (std::size_t i = 0; i + 1 < cold.size(); i++)
+        EXPECT_EQ(warm[i], cold[i]) << "request " << i + 1;
+    globalExperimentCache().clear();
+    EXPECT_EQ(cold[0], makeResultLine(
+                           "1", expectedResult("matrixmul", "sw3", 3)));
+    EXPECT_EQ(cold[1], makeResultLine(
+                           "2", expectedResult("reduction", "hw2", 2)));
+    EXPECT_EQ(cold[2], makeResultLine(
+                           "3", expectedResult("histogram", "ccrfc", 3)));
 }
 
 } // namespace
