@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/experiment.h"
 #include "core/report.h"
-#include "sim/perf_sim.h"
 #include "workloads/registry.h"
 
 using namespace rfh;
@@ -21,12 +21,17 @@ main()
     bench::header("Table 2 / two-level scheduler performance",
                   "no performance loss with >=8 active warps (of 32)");
 
-    PerfConfig base;
+    // 32 machine-resident warps, each capped at 2^18 instructions;
+    // the baseline scheme times the flat MRF.
+    const RunConfig resident{32, 1u << 18};
+    ExperimentConfig cfg;
+    cfg.scheme = Scheme::BASELINE;
+    PipelineConfig base;
     std::printf("\nSimulation parameters (Table 2): 32-wide SIMT, ALU %d, "
                 "SFU %d, shared mem %d,\nTEX %d, DRAM %d cycles; %d "
                 "resident warps.\n\n",
                 base.aluLatency, base.sfuLatency, base.sharedMemLatency,
-                base.texLatency, base.dramLatency, base.numWarps);
+                base.texLatency, base.dramLatency, resident.numWarps);
 
     const int kActiveSet[] = {1, 2, 4, 6, 8, 12, 16, 32};
 
@@ -38,18 +43,23 @@ main()
                              "nbody", "histogram", "montecarlo",
                              "hotspot", "sortingnetworks"};
     for (const char *name : samples) {
-        const Workload &w = workloadByName(name);
+        Workload w = workloadByName(name);
+        w.run = resident;
         std::vector<std::string> row = {w.name};
         double ipc8 = 0, ipc32 = 0;
         for (int a : kActiveSet) {
-            PerfConfig cfg = base;
-            cfg.activeWarps = a;
-            PerfResult res = runPerfSim(w.kernel, cfg);
-            row.push_back(fmt(res.ipc(), 3));
+            PipelineConfig p = base;
+            p.activeWarps = a;
+            SchemePipelineResult res = runSchemePipeline(w, cfg, p);
+            if (!res.ok()) {
+                std::fprintf(stderr, "%s: %s\n", name, res.error.c_str());
+                return 1;
+            }
+            row.push_back(fmt(res.stats.ipc(), 3));
             if (a == 8)
-                ipc8 = res.ipc();
+                ipc8 = res.stats.ipc();
             if (a == 32)
-                ipc32 = res.ipc();
+                ipc32 = res.stats.ipc();
         }
         t.addRow(row);
         sum8 += ipc8;

@@ -33,6 +33,14 @@
 # threshold (default 0.50 — generous, since CI machines are noisy).
 set -euo pipefail
 
+# Temporary files of the gates below, removed on every exit path —
+# including a failing gate's `exit 1`.
+cleanup_files=()
+cleanup() {
+    rm -f ${cleanup_files[@]+"${cleanup_files[@]}"}
+}
+trap cleanup EXIT
+
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 2)"
 run_tsan=1
@@ -249,10 +257,11 @@ if [[ "$run_asan" == 1 ]]; then
     # replay executor's pointer-walking hot loop.
     # DiskCache.* adds the serializer round-trips and torn-entry
     # parsing (length-prefixed reads over untrusted file bytes);
-    # SwExec.* and SwExecBounds.* feed the software executor corrupted
+    # SwExec.*, SwExecBounds.*, SwExecSimt.* and SwExecSimtBounds.*
+    # feed the scalar and SIMT software executors corrupted
     # annotations.
     "$repo/build-asan/tests/rfh_tests" \
-        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:DiskCache.*:SwExec.*:SwExecBounds.*'
+        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:DiskCache.*:SwExec.*:SwExecBounds.*:SwExecSimt.*:SwExecSimtBounds.*'
     if [[ "$run_fuzz" == 1 ]]; then
         # The differential oracle over the checked-in corpus: every
         # scheme x engine pair runs under ASan, so an out-of-bounds
@@ -267,7 +276,7 @@ fi
 if command -v doxygen >/dev/null 2>&1; then
     echo "== doxygen: no warnings in the observability headers =="
     doxlog="$(mktemp)"
-    trap 'rm -f "$doxlog"' EXIT
+    cleanup_files+=("$doxlog")
     (cd "$repo" &&
         { cat Doxyfile; echo "WARN_LOGFILE = $doxlog"; } | doxygen - \
             >/dev/null)
@@ -283,25 +292,34 @@ else
 fi
 
 if [[ "$run_perf" == 1 ]]; then
+    # The base is the newest git-tracked snapshot, so a stray
+    # uncommitted BENCH_<n>.json can never become the baseline.
     base=""
-    n=0
-    while [[ -e "$repo/BENCH_${n}.json" ]]; do
-        base="$repo/BENCH_${n}.json"
-        n=$((n + 1))
-    done
+    base_n=-1
+    while read -r f; do
+        [[ "$f" =~ ^BENCH_([0-9]+)\.json$ ]] || continue
+        if (( 10#${BASH_REMATCH[1]} > base_n )); then
+            base_n=$((10#${BASH_REMATCH[1]}))
+            base="$repo/$f"
+        fi
+    done < <(git -C "$repo" ls-files 'BENCH_*.json' 2>/dev/null || true)
     if [[ -n "$base" ]]; then
+        # bench_snapshot.sh writes the first free BENCH_<n>.json; it is
+        # temporary here and goes on every exit path.
+        n=0
+        while [[ -e "$repo/BENCH_${n}.json" ]]; do n=$((n + 1)); done
+        fresh="$repo/BENCH_${n}.json"
+        cleanup_files+=("$fresh")
         echo "== perf gate: fresh snapshot vs $(basename "$base") =="
         "$repo/scripts/bench_snapshot.sh"
-        fresh="$repo/BENCH_${n}.json"
         threshold="${RFH_BENCH_THRESHOLD:-0.50}"
         if ! "$repo/scripts/bench_diff.sh" "$base" "$fresh" "$threshold"
         then
             echo "check.sh: performance regressed past ${threshold}" >&2
             exit 1
         fi
-        rm -f "$fresh"
     else
-        echo "== no BENCH_<n>.json snapshot; skipping the perf gate =="
+        echo "== no committed BENCH_<n>.json snapshot; skipping the perf gate =="
     fi
 fi
 

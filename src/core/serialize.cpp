@@ -45,10 +45,8 @@ serializeDecodedTrace(ByteWriter &w, const DecodedTrace &t)
     w.vec(t.warpBegin);
     w.vec(t.warpEndLin);
     w.vec(t.execWords);
-    w.vec(t.takenWords);
     w.vec(t.llWords);
     w.u64(t.executedInstrs);
-    w.u64(t.takenBranches);
 }
 
 DecodedTrace
@@ -60,10 +58,8 @@ deserializeDecodedTrace(ByteReader &r)
     t.warpBegin = r.vec<std::uint32_t>();
     t.warpEndLin = r.vec<std::int32_t>();
     t.execWords = r.vec<std::uint64_t>();
-    t.takenWords = r.vec<std::uint64_t>();
     t.llWords = r.vec<std::uint64_t>();
     t.executedInstrs = r.u64();
-    t.takenBranches = r.u64();
     return t;
 }
 

@@ -3,10 +3,10 @@
  * Data-oriented inner loops of the replay engine.
  *
  * The replay hot path is dominated by two streaming passes over the
- * structure-of-arrays dynamic trace: classifying the per-record flags
- * byte (executed / branch-taken) and packing those classifications
- * into 64-bit bit-planes that the executors then consume with
- * popcount sweeps and bit scans instead of per-record branches.
+ * structure-of-arrays dynamic trace: counting the records whose flags
+ * byte says executed, and packing that bit into a 64-bit bit-plane
+ * that the executors then consume with popcount sweeps and bit scans
+ * instead of per-record branches.
  *
  * Both passes live in this translation unit so a single TU can be
  * compiled with the vectorizer enabled and its report checked by CI
@@ -23,34 +23,23 @@
 
 namespace rfh {
 
-/** Totals of one pass over a replay flags stream. */
-struct FlagsClassCounts
-{
-    /** Records with kReplayExecuted set. */
-    std::uint64_t executed = 0;
-    /** Records with kReplayBranchTaken set. */
-    std::uint64_t taken = 0;
-};
-
 /**
- * Classify @p n replay flags bytes in one streaming pass: how many
- * records executed (bit 0) and how many took a branch (bit 1).
+ * Count the records of @p n replay flags bytes that executed (bit 0)
+ * in one streaming pass.
  *
  * This is the vectorize-report gated loop (see file comment).
  */
-FlagsClassCounts classifyReplayFlags(const std::uint8_t *flags,
-                                     std::size_t n);
+std::uint64_t countExecutedRecords(const std::uint8_t *flags,
+                                   std::size_t n);
 
 /**
- * Pack the flags stream into two 64-bit bit-planes: bit (t % 64) of
- * word (t / 64) of @p execWords / @p takenWords holds the executed /
- * branch-taken classification of record @p t. Both outputs must have
- * room for (n + 63) / 64 words; trailing bits of the last word are
- * zero.
+ * Pack the executed bit of the flags stream into a 64-bit bit-plane:
+ * bit (t % 64) of word (t / 64) of @p execWords is record @p t's.
+ * @p execWords must have room for (n + 63) / 64 words; trailing bits
+ * of the last word are zero.
  */
-void packReplayPlanes(const std::uint8_t *flags, std::size_t n,
-                      std::uint64_t *execWords,
-                      std::uint64_t *takenWords);
+void packExecutedPlane(const std::uint8_t *flags, std::size_t n,
+                       std::uint64_t *execWords);
 
 /**
  * Histogram the dynamic stream by static instruction: bumps

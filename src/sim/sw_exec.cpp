@@ -202,13 +202,6 @@ class SwModel::Warp
     std::string error_;
 };
 
-/** Structured failure of an annotation naming a missing ORF entry. */
-std::string
-orfRangeError(unsigned entry)
-{
-    return "ORF entry " + std::to_string(entry) + " out of range";
-}
-
 /** Software-scheme observability (sim.sw.*), shared with the driver. */
 void
 noteSwRun(const SwExecResult &result, bool replay)
@@ -217,6 +210,12 @@ noteSwRun(const SwExecResult &result, bool replay)
 }
 
 } // namespace
+
+std::string
+orfRangeError(unsigned entry)
+{
+    return "ORF entry " + std::to_string(entry) + " out of range";
+}
 
 SwExecResult
 runSwHierarchy(const Kernel &k, const AllocOptions &opts,

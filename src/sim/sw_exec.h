@@ -52,6 +52,12 @@ struct SwExecResult
 };
 
 /**
+ * The structured failure of an annotation naming missing ORF entry
+ * @p entry, shared by the scalar and SIMT executors.
+ */
+std::string orfRangeError(unsigned entry);
+
+/**
  * Execute annotated kernel @p k under the software-managed hierarchy.
  *
  * @param k kernel previously processed by HierarchyAllocator.

@@ -1,12 +1,12 @@
 #include "sim/sw_exec_simt.h"
 
+#include <memory>
 #include <sstream>
 #include <vector>
 
 #include "compiler/strand.h"
 #include "ir/liveness.h"
-#include "sim/replay_arena.h"
-#include "sim/replay_kernels.h"
+#include "sim/drive.h"
 #include "sim/simt.h"
 #include "sim/trace.h"
 
@@ -39,6 +39,31 @@ struct LaneState
     }
 };
 
+/** "<kernel> @lin <lin> lane <lane>: <msg>"; lane -1 is warp-level. */
+std::string
+simtError(const Kernel &k, int lin, int lane, const std::string &msg)
+{
+    std::ostringstream os;
+    os << k.name << " @lin " << lin << " lane " << lane << ": " << msg;
+    return os.str();
+}
+
+/**
+ * The range check of an enabled result write, shared by the direct
+ * executor and the replay model: @return the failure, or empty when
+ * every written LRF bank and ORF entry exists.
+ */
+std::string
+writeRangeError(const WriteAnnotation &wa, int halves, int orfEntries,
+                int lrfBanks)
+{
+    if (wa.toLRF && wa.lrfBank >= lrfBanks)
+        return "LRF bank out of range";
+    if (wa.toORF && wa.orfEntry + halves > orfEntries)
+        return "ORF entry out of range";
+    return "";
+}
+
 } // namespace
 
 SwExecResult
@@ -53,10 +78,7 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
     StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
 
     auto fail = [&](int lin, int lane, const std::string &msg) {
-        std::ostringstream os;
-        os << k.name << " @lin " << lin << " lane " << lane << ": "
-           << msg;
-        result.error = os.str();
+        result.error = simtError(k, lin, lane, msg);
     };
 
     // Per-instruction scratch, hoisted out of the hot loop so each
@@ -140,16 +162,37 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
                 return !in.pred ||
                     warp.laneRegsNow(l)[*in.pred] != 0;
             };
-            // For branches: does any lane take it?
-            auto was_enabled_branch = [&](int l) { return enabled(l); };
 
             // ---- Verify reads per enabled lane; count per warp ----
             deposits.clear();
             auto read_one = [&](Reg r, const ReadAnnotation &ra) {
+                // Structural checks (entry ranges, shared-datapath LRF
+                // reads) are warp-level (lane -1) and sit where the
+                // replay model makes them, so both stop with the same
+                // message and the same partial counts.
+                if (ra.level == Level::ORF &&
+                    ra.entry >= opts.orfEntries) {
+                    fail(lin, -1, orfRangeError(ra.entry));
+                    return;
+                }
                 counts.read(ra.level, dp);
                 if (ra.depositToORF) {
+                    if (ra.entry >= opts.orfEntries) {
+                        fail(lin, -1, orfRangeError(ra.entry));
+                        return;
+                    }
                     deposits.push_back({ra.entry, r});
                     counts.write(Level::ORF, dp);
+                }
+                if (ra.level == Level::LRF) {
+                    if (shared) {
+                        fail(lin, -1, "shared-datapath LRF read");
+                        return;
+                    }
+                    if (ra.lrfBank >= lrf_banks) {
+                        fail(lin, -1, "LRF bank out of range");
+                        return;
+                    }
                 }
                 for (int l = 0; l < cfg.width && result.ok(); l++) {
                     // Operands are fetched before the predicate
@@ -177,10 +220,6 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
                         break;
                       }
                       case Level::LRF: {
-                        if (shared) {
-                            fail(lin, l, "shared-datapath LRF read");
-                            break;
-                        }
                         const LaneSlot &s = ls.lrf[ra.lrfBank];
                         if (!s.valid || s.reg != r || s.value != arch)
                             fail(lin, l, "LRF bank " +
@@ -219,32 +258,33 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
             }
 
             // Snapshot enables before execution mutates predicates.
-            for (int l = 0; l < cfg.width; l++)
+            bool any = false;
+            for (int l = 0; l < cfg.width; l++) {
                 was_enabled[l] = enabled(l);
+                any = any || was_enabled[l];
+            }
 
             // ---- Execute the warp instruction ----
+            // A backward branch with any enabled lane syncs the warp.
             counts.instructions++;
             prev_lin = lin;
-            prev_taken_backward = false;
-            if (in.op == Opcode::BRA &&
-                in.branchTarget <= k.ref(lin).block) {
-                for (int l = 0; l < cfg.width; l++)
-                    if (was_enabled_branch(l)) {
-                        prev_taken_backward = true;
-                        break;
-                    }
-            }
+            prev_taken_backward = any && in.op == Opcode::BRA &&
+                in.branchTarget <= k.ref(lin).block;
             warp.step();
 
             // ---- Writes per enabled lane; count per warp ----
-            if (in.dst) {
+            if (in.dst && any) {
                 const WriteAnnotation &wa = in.writeAnno;
                 int halves = in.wide ? 2 : 1;
-                bool any = false;
+                const std::string range =
+                    writeRangeError(wa, halves, opts.orfEntries, lrf_banks);
+                if (!range.empty()) {
+                    fail(lin, -1, range);
+                    break;
+                }
                 for (int l = 0; l < cfg.width; l++) {
                     if (!was_enabled[l])
                         continue;
-                    any = true;
                     LaneState &ls = lanes[l];
                     for (int h = 0; h < halves; h++) {
                         Reg r = static_cast<Reg>(*in.dst + h);
@@ -265,16 +305,14 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
                             ls.mrf[r] = v;
                     }
                 }
-                if (any) {
-                    if (wa.toLRF)
-                        counts.write(Level::LRF, dp);
-                    if (wa.toORF)
-                        counts.write(Level::ORF, dp, halves);
-                    if (wa.toMRF)
-                        counts.write(Level::MRF, dp, halves);
-                    if (in.longLatency())
-                        pending |= definedRegs(in);
-                }
+                if (wa.toLRF)
+                    counts.write(Level::LRF, dp);
+                if (wa.toORF)
+                    counts.write(Level::ORF, dp, halves);
+                if (wa.toMRF)
+                    counts.write(Level::MRF, dp, halves);
+                if (in.longLatency())
+                    pending |= definedRegs(in);
             }
         }
     }
@@ -283,274 +321,167 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
 
 namespace {
 
-/** Per-record counting deltas of one static instruction (SIMT). */
-struct SimtLinCost
+/**
+ * Per-run state shared by every warp of the SIMT replay: the strand
+ * partition and a decode of the *annotated* kernel (the accounting
+ * reads annotations out of the instr snapshots).
+ */
+struct SimtSwModel
 {
-    std::uint8_t reads[3] = {0, 0, 0};  ///< Per level, once per warp.
-    std::uint8_t depositWrites = 0;     ///< ORF writes from deposits.
-    std::uint8_t wLRF = 0, wORF = 0, wMRF = 0;  ///< Any-lane-enabled.
+    static constexpr const char *kMetrics = "sim.simt";
+
+    SimtSwModel(const Kernel &kernel, const AllocOptions &o)
+        : k(kernel), orfEntries(o.orfEntries),
+          lrfBanks(o.useLRF ? (o.splitLRF ? 3 : 1) : 0), cfg(kernel),
+          strands(kernel, cfg, o.strandOptions), dec(kernel)
+    {
+    }
+
+    class Warp;
+
+    const Kernel &k;
+    int orfEntries;
+    int lrfBanks;
+    Cfg cfg;
+    StrandAnalysis strands;
+    ReplayDecode dec;
 };
 
 /**
- * One pass over the annotated kernel filling the SIMT cost tables.
- * @return false when some instruction could fail replay verification
- * (a shared-datapath LRF read) — caller takes the slow path.
+ * Warp-level access counting of one SIMT warp over the recorded SIMT
+ * stream (recordSimtDecodedTrace: enabled = some active lane passed
+ * its predicate; taken = a backward branch with an enabled lane), with
+ * the structural checks of the direct executor but no per-lane values.
+ * The warp synchronisation a record triggers is resolved at the start
+ * of the warp's *next* record, exactly where the direct executor
+ * evaluates it, so a capped warp's last record never counts a
+ * deschedule. Only the trace clock drives it (replaySwHierarchySimt),
+ * so it fills no operand plan.
  */
-bool
-scanSimtAnnotations(const Kernel &k, SimtLinCost *cost, RegSet *touched,
-                    RegSet *defined)
+class SimtSwModel::Warp
 {
-    const int n = k.numInstrs();
-    for (int lin = 0; lin < n; lin++) {
-        const Instruction &in = k.instr(lin);
-        const bool shared = isSharedUnit(in.unit());
-        RegSet def = definedRegs(in);
-        defined[lin] = def;
-        touched[lin] = usedRegs(in) | def;
-        SimtLinCost &c = cost[lin];
+  public:
+    Warp(const SimtSwModel &m, AccessCounts &counts, ReplayArena &)
+        : m_(m), counts_(counts)
+    {
+    }
 
-        auto scan_read = [&](const ReadAnnotation &ra) {
-            c.reads[static_cast<int>(ra.level)]++;
-            if (ra.depositToORF)
-                c.depositWrites++;
-            return !(ra.level == Level::LRF && shared);
+    void
+    onInstr(int lin, bool enabled, bool taken, std::int32_t /*nextLin*/,
+            OperandPlan * /*plan*/)
+    {
+        const Instruction &in = m_.dec.instr[lin];
+        const Datapath dp = static_cast<Datapath>(m_.dec.datapath[lin]);
+        const bool shared = m_.dec.shared[lin] != 0;
+
+        // Warp-level synchronisation (see the direct executor):
+        // forward motion into a new strand, or a taken backward
+        // branch, resolves outstanding long-latency loads.
+        const bool warp_sync = prevTakenBackward_ ||
+            (prevLin_ >= 0 && lin > prevLin_ &&
+             m_.strands.strandOf(lin) != m_.strands.strandOf(prevLin_));
+        if (warp_sync && pending_.any()) {
+            counts_.deschedules++;
+            pending_.reset();
+        }
+
+        // A touch of a still-outstanding long-latency register
+        // inside a strand means the compiler missed an endpoint.
+        if ((m_.dec.touched[lin] & pending_).any()) {
+            fail(lin, "instruction touches an outstanding "
+                 "long-latency register inside a strand");
+            return;
+        }
+
+        // ---- Reads: count per warp; structural checks only ----
+        auto read_one = [&](const ReadAnnotation &ra) {
+            if (ra.level == Level::ORF && ra.entry >= m_.orfEntries) {
+                fail(lin, orfRangeError(ra.entry));
+                return;
+            }
+            counts_.read(ra.level, dp);
+            if (ra.depositToORF) {
+                if (ra.entry >= m_.orfEntries) {
+                    fail(lin, orfRangeError(ra.entry));
+                    return;
+                }
+                counts_.write(Level::ORF, dp);
+            }
+            // Every record has an active lane, and every active lane
+            // fetches its operands, predicated off or not.
+            if (ra.level == Level::LRF) {
+                if (shared)
+                    fail(lin, "shared-datapath LRF read");
+                else if (ra.lrfBank >= m_.lrfBanks)
+                    fail(lin, "LRF bank out of range");
+            }
         };
-        for (int s = 0; s < in.numSrcs; s++)
-            if (in.srcs[s].isReg && !scan_read(in.readAnno[s]))
-                return false;
-        if (in.pred && !scan_read(in.predAnno))
-            return false;
+        for (int s = 0; s < in.numSrcs && error_.empty(); s++)
+            if (in.srcs[s].isReg)
+                read_one(in.readAnno[s]);
+        // The predicate is an operand like any other: it is read by
+        // every active lane and can carry a deposit.
+        if (in.pred && error_.empty())
+            read_one(in.predAnno);
+        if (!error_.empty())
+            return;
 
-        if (in.dst) {
+        counts_.instructions++;
+        prevLin_ = lin;
+        prevTakenBackward_ = taken;
+
+        // ---- Writes: count per warp when any lane was enabled ----
+        if (in.dst && enabled) {
             const WriteAnnotation &wa = in.writeAnno;
             const int halves = in.wide ? 2 : 1;
+            const std::string range =
+                writeRangeError(wa, halves, m_.orfEntries, m_.lrfBanks);
+            if (!range.empty()) {
+                fail(lin, range);
+                return;
+            }
             if (wa.toLRF)
-                c.wLRF = 1;
+                counts_.write(Level::LRF, dp);
             if (wa.toORF)
-                c.wORF = static_cast<std::uint8_t>(halves);
+                counts_.write(Level::ORF, dp, halves);
             if (wa.toMRF)
-                c.wMRF = static_cast<std::uint8_t>(halves);
+                counts_.write(Level::MRF, dp, halves);
+            if (in.longLatency())
+                pending_ |= m_.dec.defined[lin];
         }
     }
-    return true;
-}
 
-/** First set bit of @p words in [@p from, @p end), or @p end. */
-std::uint32_t
-nextSetBit(const std::vector<std::uint64_t> &words, std::uint32_t from,
-           std::uint32_t end)
-{
-    if (from >= end)
-        return end;
-    std::uint32_t w = from / 64;
-    const std::uint32_t last = (end - 1) / 64;
-    std::uint64_t word = words[w] & (~std::uint64_t{0} << (from % 64));
-    while (true) {
-        if (word) {
-            std::uint32_t t = w * 64 + __builtin_ctzll(word);
-            return t < end ? t : end;
-        }
-        if (w == last)
-            return end;
-        word = words[++w];
+    std::string_view
+    error() const
+    {
+        return error_;
     }
-}
 
-/**
- * Original per-record SIMT replay loop — fallback for traces without
- * bit-planes and for runs that can fail verification, reproducing the
- * failure (message, stop point, partial counts) byte-exactly.
- */
-SwExecResult
-replaySwHierarchySimtSlow(const Kernel &k, const AllocOptions &opts,
-                          const DecodedTrace &trace,
-                          const SimtExecConfig &cfg)
-{
-    SwExecResult result;
-    AccessCounts &counts = result.counts;
-
-    Cfg cfg_graph(k);
-    StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
-    ReplayDecode dec(k);
-    (void)cfg;
-
-    auto fail = [&](int lin, int lane, const std::string &msg) {
-        std::ostringstream os;
-        os << k.name << " @lin " << lin << " lane " << lane << ": "
-           << msg;
-        result.error = os.str();
-    };
-
-    for (int w = 0; w < trace.numWarps() && result.ok(); w++) {
-        RegSet pending;
-        int prev_lin = -1;
-        bool prev_taken_backward = false;
-
-        for (std::uint32_t t = trace.warpBegin[w];
-             t < trace.warpBegin[w + 1] && result.ok(); t++) {
-            const int lin = trace.lin[t];
-            const Instruction &in = dec.instr[lin];
-            const Datapath dp = static_cast<Datapath>(dec.datapath[lin]);
-            const bool shared = dec.shared[lin] != 0;
-            const bool any_enabled = trace.flags[t] & kReplayExecuted;
-
-            // Warp-level synchronisation (see the direct executor):
-            // forward motion into a new strand, or a taken backward
-            // branch, resolves outstanding long-latency loads.
-            bool warp_sync = prev_taken_backward ||
-                (prev_lin >= 0 && lin > prev_lin &&
-                 strands.strandOf(lin) != strands.strandOf(prev_lin));
-            if (warp_sync && pending.any()) {
-                counts.deschedules++;
-                pending.reset();
-            }
-
-            // A touch of a still-outstanding long-latency register
-            // inside a strand means the compiler missed an endpoint.
-            if ((dec.touched[lin] & pending).any()) {
-                fail(lin, -1, "instruction touches an outstanding "
-                     "long-latency register inside a strand");
-                break;
-            }
-
-            // ---- Reads: count per warp; structural checks only ----
-            auto read_one = [&](Reg r, const ReadAnnotation &ra) {
-                counts.read(ra.level, dp);
-                if (ra.depositToORF)
-                    counts.write(Level::ORF, dp);
-                if (ra.level == Level::LRF && shared && any_enabled)
-                    fail(lin, -1, "shared-datapath LRF read");
-                (void)r;
-            };
-            for (int s = 0; s < in.numSrcs && result.ok(); s++)
-                if (in.srcs[s].isReg)
-                    read_one(in.srcs[s].reg, in.readAnno[s]);
-            if (in.pred && result.ok()) {
-                // The predicate is an operand like any other: it is
-                // read by every active lane and can carry a deposit.
-                read_one(*in.pred, in.predAnno);
-            }
-            if (!result.ok())
-                break;
-
-            // ---- Execute (pre-decoded) ----
-            counts.instructions++;
-            prev_lin = lin;
-            prev_taken_backward = trace.flags[t] & kReplayBranchTaken;
-
-            // ---- Writes: count per warp when any lane was enabled ----
-            if (in.dst && any_enabled) {
-                const WriteAnnotation &wa = in.writeAnno;
-                int halves = in.wide ? 2 : 1;
-                if (wa.toLRF)
-                    counts.write(Level::LRF, dp);
-                if (wa.toORF)
-                    counts.write(Level::ORF, dp, halves);
-                if (wa.toMRF)
-                    counts.write(Level::MRF, dp, halves);
-                if (in.longLatency())
-                    pending |= dec.defined[lin];
-            }
-        }
+  private:
+    void
+    fail(int lin, const std::string &msg)
+    {
+        error_ = simtError(m_.k, lin, -1, msg);
     }
-    return result;
-}
+
+    const SimtSwModel &m_;
+    AccessCounts &counts_;
+    RegSet pending_;
+    int prevLin_ = -1;
+    bool prevTakenBackward_ = false;
+    std::string error_;
+};
 
 } // namespace
 
 SwExecResult
 replaySwHierarchySimt(const Kernel &k, const AllocOptions &opts,
-                      const DecodedTrace &trace,
-                      const SimtExecConfig &cfg)
+                      const DecodedTrace &trace)
 {
-    // ---- Fast path (see replaySwHierarchy) ----
-    // Warp-level counting is a sum of per-instruction deltas over the
-    // record stream; only the deschedule count depends on record
-    // order, handled by a bit-scan pass over the long-latency plane.
-    const int n = k.numInstrs();
-    ReplayArena &arena = acquireThreadReplayArena();
-    SimtLinCost *cost = arena.allocZeroed<SimtLinCost>(n);
-    RegSet *touched = arena.alloc<RegSet>(n);
-    RegSet *defined = arena.alloc<RegSet>(n);
-    if (!trace.hasPlanes() ||
-        !scanSimtAnnotations(k, cost, touched, defined))
-        return replaySwHierarchySimtSlow(k, opts, trace, cfg);
-
-    SwExecResult result;
-    AccessCounts &counts = result.counts;
-
-    // ---- Deschedule pass ----
-    // pending becomes non-empty only at llWords records; while empty,
-    // the warp-sync and touch checks are no-ops, so skip directly to
-    // the next such record. The warp-sync evaluation there needs no
-    // previous-record state: with an empty pending set the sync is a
-    // no-op whatever the previous record was.
-    Cfg cfg_graph(k);
-    StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
-    for (int w = 0; w < trace.numWarps(); w++) {
-        const std::uint32_t end = trace.warpBegin[w + 1];
-        std::uint32_t t = trace.warpBegin[w];
-        RegSet pending;
-        int prev_lin = -1;
-        bool prev_taken_backward = false;
-        while (t < end) {
-            if (pending.none()) {
-                t = nextSetBit(trace.llWords, t, end);
-                if (t == end)
-                    break;
-                const int lin = trace.lin[t];
-                pending |= defined[lin];
-                prev_lin = lin;
-                prev_taken_backward =
-                    (trace.takenWords[t / 64] >> (t % 64)) & 1u;
-                t++;
-                continue;
-            }
-            const int lin = trace.lin[t];
-            const bool warp_sync = prev_taken_backward ||
-                (prev_lin >= 0 && lin > prev_lin &&
-                 strands.strandOf(lin) != strands.strandOf(prev_lin));
-            if (warp_sync && pending.any()) {
-                counts.deschedules++;
-                pending.reset();
-            }
-            if ((touched[lin] & pending).any())
-                return replaySwHierarchySimtSlow(k, opts, trace, cfg);
-            prev_lin = lin;
-            prev_taken_backward =
-                (trace.takenWords[t / 64] >> (t % 64)) & 1u;
-            if ((trace.llWords[t / 64] >> (t % 64)) & 1u)
-                pending |= defined[lin];
-            t++;
-        }
-    }
-
-    // ---- Access counting: histogram + per-instruction deltas ----
-    const std::size_t total = trace.lin.size();
-    std::uint32_t *histAll = arena.allocZeroed<std::uint32_t>(n);
-    std::uint32_t *histOff = arena.allocZeroed<std::uint32_t>(n);
-    histogramRecords(trace.lin.data(), total, histAll);
-    if (trace.executedInstrs != total)
-        histogramClearBits(trace.execWords.data(), trace.lin.data(),
-                           total, histOff);
-    for (int lin = 0; lin < n; lin++) {
-        const std::uint64_t all = histAll[lin];
-        if (all == 0)
-            continue;
-        const std::uint64_t ex = all - histOff[lin];
-        const SimtLinCost &c = cost[lin];
-        const Datapath dp = datapathOf(k.instr(lin).unit());
-        for (int l = 0; l < 3; l++)
-            counts.read(static_cast<Level>(l), dp, c.reads[l] * all);
-        counts.write(Level::ORF, dp,
-                     c.depositWrites * all + c.wORF * ex);
-        if (c.wLRF)
-            counts.write(Level::LRF, dp, c.wLRF * ex);
-        if (c.wMRF)
-            counts.write(Level::MRF, dp, c.wMRF * ex);
-    }
-    counts.instructions = total;
-    return result;
+    std::unique_ptr<SchemeAccounting> acct =
+        makeAccounting<SimtSwModel>(k, opts);
+    acct->driveTrace(trace);
+    return {acct->counts(), acct->error()};
 }
 
 } // namespace rfh

@@ -44,16 +44,18 @@ SwExecResult runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
 struct DecodedTrace;
 
 /**
- * Replay-mode counterpart of runSwHierarchySimt: walk a pre-decoded
- * SIMT stream (from recordSimtDecodedTrace with matching warp count,
- * width, and instruction cap) doing only warp-level access counting.
- * Per-lane value verification is the direct executor's job; counts
- * are identical on any allocation the direct executor accepts.
+ * Replay-mode counterpart of runSwHierarchySimt: drive the SIMT
+ * model (warp-level access counting plus the direct executor's
+ * structural checks) over a pre-decoded SIMT stream from
+ * recordSimtDecodedTrace, whose warp count, width and instruction cap
+ * define the run. Per-lane value verification is the direct
+ * executor's job; counts are identical on any allocation the direct
+ * executor accepts, and a structurally bad annotation fails at the
+ * same record with the same message.
  */
 SwExecResult replaySwHierarchySimt(const Kernel &k,
                                    const AllocOptions &opts,
-                                   const DecodedTrace &trace,
-                                   const SimtExecConfig &cfg = {});
+                                   const DecodedTrace &trace);
 
 } // namespace rfh
 

@@ -1,20 +1,18 @@
 /**
  * @file
- * Control-flow trace recording and replay (the paper's methodology,
+ * Dynamic trace recording and replay (the paper's methodology,
  * Section 5.1: full-application runs produce per-path execution
  * frequencies, and a custom trace-based simulator reconstructs likely
  * warp interleavings from them).
  *
- * Two trace representations are provided:
- *
- *  - KernelTrace: per warp, the sequence of basic blocks visited —
- *    feeds profile-style analyses (hot blocks, dynamic strand mix).
- *  - DecodedTrace: the flat, pre-decoded dynamic instruction stream
- *    that drives the replay executors. Recorded once per
- *    (kernel, RunConfig) — the functional machine runs exactly once —
- *    and then replayed by every (scheme x entries) grid cell doing
- *    only hierarchy state updates and access counting: no opcode
- *    dispatch, no value computation, no branch evaluation.
+ * One trace representation serves every consumer: DecodedTrace, the
+ * flat, pre-decoded dynamic instruction stream of each warp. It is
+ * recorded once per (kernel, RunConfig) — the functional machine runs
+ * exactly once — and then drives every (scheme x entries) grid cell,
+ * the SIMT replay and the cycle-level pipeline, doing only hierarchy
+ * state updates, access counting and timing: no opcode dispatch, no
+ * value computation, no branch evaluation. Block paths and per-block
+ * frequencies follow from the linear instruction indices.
  *
  * The dynamic stream is a structure-of-arrays: one int32 linear
  * instruction index and one flags byte per dynamic instruction, with
@@ -38,42 +36,6 @@
 namespace rfh {
 
 class ReachingDefs;
-
-/** Recorded dynamic behaviour of one kernel launch. */
-struct KernelTrace
-{
-    /** Per warp: the sequence of basic-block ids executed. */
-    std::vector<std::vector<int>> warpPaths;
-    /** Dynamic execution count of each basic block (all warps). */
-    std::vector<std::uint64_t> blockCounts;
-    /** Total dynamic instructions across all warps. */
-    std::uint64_t instructions = 0;
-
-    int
-    numWarps() const
-    {
-        return static_cast<int>(warpPaths.size());
-    }
-};
-
-/** Execute @p k functionally and record each warp's block path. */
-KernelTrace recordTrace(const Kernel &k, const RunConfig &cfg = {});
-
-/**
- * Validate that @p trace is a legal execution of @p k: every recorded
- * transition must be a CFG edge, every path starts at the entry block,
- * and every path ends at a block that can terminate.
- *
- * @return empty string if consistent, else a description.
- */
-std::string validateTrace(const Kernel &k, const KernelTrace &trace);
-
-/**
- * Per-block dynamic instruction histogram: how many instructions each
- * block contributes to the dynamic stream (blockCounts × block size).
- */
-std::vector<std::uint64_t> dynamicInstrsPerBlock(const Kernel &k,
-                                                 const KernelTrace &t);
 
 // ---- Pre-decoded replay stream ----
 
@@ -130,8 +92,6 @@ struct DecodedTrace
 
     /** kReplayExecuted per record. */
     std::vector<std::uint64_t> execWords;
-    /** kReplayBranchTaken per record. */
-    std::vector<std::uint64_t> takenWords;
     /**
      * Records that executed AND name a long-latency instruction with a
      * destination — exactly the records that can set the outstanding
@@ -142,16 +102,13 @@ struct DecodedTrace
     std::vector<std::uint64_t> llWords;
     /** Total records with kReplayExecuted (classification pass). */
     std::uint64_t executedInstrs = 0;
-    /** Total records with kReplayBranchTaken (classification pass). */
-    std::uint64_t takenBranches = 0;
 
     /** True when the planes match the current record stream. */
     bool
     hasPlanes() const
     {
         const std::size_t words = (lin.size() + 63) / 64;
-        return execWords.size() == words &&
-            takenWords.size() == words && llWords.size() == words;
+        return execWords.size() == words && llWords.size() == words;
     }
 
     /** (Re)build the planes and classification totals from @p k. */

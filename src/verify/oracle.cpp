@@ -586,7 +586,7 @@ runOracle(const Kernel &k, const OracleOptions &opts)
         DecodedTrace trace = recordSimtDecodedTrace(
             k, wide.numWarps, wide.width, wide.maxInstrsPerWarp);
         SwExecResult simtR =
-            replaySwHierarchySimt(annotated, ao, trace, wide);
+            replaySwHierarchySimt(annotated, ao, trace);
         if (!simtD.ok())
             finding(FindingKind::EXEC_ERROR, tag + "/simt-direct",
                     simtD.error);

@@ -8,9 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "compiler/scheduler.h"
+#include "core/experiment.h"
 #include "ir/parser.h"
 #include "sim/machine.h"
-#include "sim/perf_sim.h"
 #include "workloads/registry.h"
 #include "workloads/synthetic.h"
 
@@ -158,17 +158,23 @@ TEST(Scheduler, ScheduledKernelKeepsPipelineInstructionCount)
     // Instruction scheduling reorders within blocks but never adds or
     // drops work, so the cycle-level pipeline must issue exactly the
     // same dynamic instruction count for the scheduled kernel.
-    PerfConfig cfg;
-    cfg.numWarps = 8;
-    cfg.activeWarps = 4;
+    ExperimentConfig cfg;
+    cfg.scheme = Scheme::BASELINE;
+    PipelineConfig pcfg;
+    pcfg.activeWarps = 4;
     for (const Workload &w : allWorkloads()) {
-        Kernel k = w.kernel;
-        scheduleKernel(k);
-        ASSERT_EQ(k.validate(), "") << w.name;
-        PerfResult before = runPerfSim(w.kernel, cfg);
-        PerfResult after = runPerfSim(k, cfg);
-        EXPECT_EQ(after.instructions, before.instructions) << w.name;
-        EXPECT_GT(after.ipc(), 0.0) << w.name;
+        Workload original = w;
+        original.run = {8, 1u << 18};
+        Workload scheduled = original;
+        scheduleKernel(scheduled.kernel);
+        ASSERT_EQ(scheduled.kernel.validate(), "") << w.name;
+        SchemePipelineResult before =
+            runSchemePipeline(original, cfg, pcfg);
+        SchemePipelineResult after =
+            runSchemePipeline(scheduled, cfg, pcfg);
+        ASSERT_TRUE(before.ok() && after.ok()) << w.name;
+        EXPECT_EQ(after.stats.issued, before.stats.issued) << w.name;
+        EXPECT_GT(after.stats.ipc(), 0.0) << w.name;
     }
 }
 

@@ -1,17 +1,110 @@
 /**
  * @file
- * Tests for control-flow trace recording and validation.
+ * Tests for dynamic trace recording: block paths, per-block
+ * frequencies and CFG legality, all read off the DecodedTrace stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "core/experiment.h"
+#include "ir/cfg_analysis.h"
 #include "ir/parser.h"
-#include "sim/perf_sim.h"
+#include "sim/pipeline.h"
 #include "sim/trace.h"
 #include "workloads/registry.h"
 
 namespace rfh {
 namespace {
+
+/** Warp @p w's block path: a block is entered at its first instruction. */
+std::vector<int>
+blockPath(const Kernel &k, const DecodedTrace &t, int w)
+{
+    std::vector<int> path;
+    for (std::uint32_t i = t.warpBegin[w]; i < t.warpBegin[w + 1]; i++) {
+        const InstrRef r = k.ref(t.lin[i]);
+        if (r.idx == 0)
+            path.push_back(r.block);
+    }
+    return path;
+}
+
+/** Block entries over every warp of @p t. */
+std::vector<std::uint64_t>
+blockCounts(const Kernel &k, const DecodedTrace &t)
+{
+    std::vector<std::uint64_t> counts(k.blocks.size(), 0);
+    for (std::int32_t lin : t.lin)
+        if (k.ref(lin).idx == 0)
+            counts[k.ref(lin).block]++;
+    return counts;
+}
+
+/**
+ * Empty when @p t is a legal execution of @p k, else the first
+ * violation: every warp starts at the entry instruction, each record
+ * follows its predecessor inside a block or along a CFG edge out of
+ * the block's last instruction (through empty blocks), and a warp
+ * that terminated ends at an EXIT.
+ */
+std::string
+cfgLegalityError(const Kernel &k, const DecodedTrace &t)
+{
+    Cfg cfg(k);
+    auto follows = [&](int a, int b) {
+        const InstrRef from = k.ref(a);
+        if (from.idx + 1 <
+            static_cast<int>(k.blocks[from.block].instrs.size()))
+            return b == a + 1;
+        std::vector<int> work = cfg.succs(from.block);
+        std::vector<bool> seen(k.blocks.size(), false);
+        while (!work.empty()) {
+            const int s = work.back();
+            work.pop_back();
+            if (seen[s])
+                continue;
+            seen[s] = true;
+            if (!k.blocks[s].instrs.empty()) {
+                if (k.blockStart(s) == b)
+                    return true;
+                continue;
+            }
+            for (int n : cfg.succs(s))
+                work.push_back(n);
+        }
+        return false;
+    };
+    std::ostringstream err;
+    for (int w = 0; w < t.numWarps(); w++) {
+        const std::uint32_t begin = t.warpBegin[w];
+        const std::uint32_t end = t.warpBegin[w + 1];
+        if (begin == end) {
+            err << "warp " << w << ": empty stream";
+            return err.str();
+        }
+        if (t.lin[begin] != 0) {
+            err << "warp " << w << ": does not start at the entry";
+            return err.str();
+        }
+        for (std::uint32_t i = begin; i + 1 < end; i++) {
+            if (!follows(t.lin[i], t.lin[i + 1])) {
+                err << "warp " << w << ": illegal transition "
+                    << t.lin[i] << " -> " << t.lin[i + 1];
+                return err.str();
+            }
+        }
+        const int last = t.lin[end - 1];
+        if (t.warpEndLin[w] < 0 ? k.instr(last).op != Opcode::EXIT
+                                : !follows(last, t.warpEndLin[w])) {
+            err << "warp " << w << ": stream ends at " << last
+                << " which cannot end it";
+            return err.str();
+        }
+    }
+    return "";
+}
 
 TEST(Trace, StraightLinePathIsOneBlock)
 {
@@ -23,12 +116,12 @@ entry:
 )");
     RunConfig cfg;
     cfg.numWarps = 2;
-    KernelTrace t = recordTrace(k, cfg);
+    DecodedTrace t = recordDecodedTrace(k, cfg);
     ASSERT_EQ(t.numWarps(), 2);
-    EXPECT_EQ(t.warpPaths[0], std::vector<int>({0}));
-    EXPECT_EQ(t.blockCounts[0], 2u);
-    EXPECT_EQ(t.instructions, 6u);
-    EXPECT_EQ(validateTrace(k, t), "");
+    EXPECT_EQ(blockPath(k, t, 0), std::vector<int>({0}));
+    EXPECT_EQ(blockCounts(k, t)[0], 2u);
+    EXPECT_EQ(t.instructions(), 6u);
+    EXPECT_EQ(cfgLegalityError(k, t), "");
 }
 
 TEST(Trace, LoopRecordsEveryIteration)
@@ -45,11 +138,11 @@ out:
 )");
     RunConfig cfg;
     cfg.numWarps = 1;
-    KernelTrace t = recordTrace(k, cfg);
+    DecodedTrace t = recordDecodedTrace(k, cfg);
     // entry, 4x body, out.
-    EXPECT_EQ(t.blockCounts[1], 4u);
-    EXPECT_EQ(t.warpPaths[0].size(), 6u);
-    EXPECT_EQ(validateTrace(k, t), "");
+    EXPECT_EQ(blockCounts(k, t)[1], 4u);
+    EXPECT_EQ(blockPath(k, t, 0).size(), 6u);
+    EXPECT_EQ(cfgLegalityError(k, t), "");
 }
 
 TEST(Trace, DivergentWarpsTakeDifferentPaths)
@@ -69,15 +162,18 @@ out:
 )");
     RunConfig cfg;
     cfg.numWarps = 8;
-    KernelTrace t = recordTrace(k, cfg);
+    DecodedTrace t = recordDecodedTrace(k, cfg);
     // Warps 0 and 1 (tid < 2) take "low"; the rest take "high".
-    EXPECT_EQ(t.blockCounts[2], 2u);
-    EXPECT_EQ(t.blockCounts[1], 6u);
-    EXPECT_EQ(validateTrace(k, t), "");
+    std::vector<std::uint64_t> counts = blockCounts(k, t);
+    EXPECT_EQ(counts[2], 2u);
+    EXPECT_EQ(counts[1], 6u);
+    EXPECT_EQ(cfgLegalityError(k, t), "");
 }
 
 TEST(Trace, ValidationCatchesIllegalTransitions)
 {
+    // The legality walk the other tests rely on must reject streams
+    // that no execution of the kernel produces.
     Kernel k = parseKernelOrDie(R"(.kernel v
 entry:
     iadd R1, R0, #1
@@ -87,14 +183,20 @@ skip:
 )");
     RunConfig cfg;
     cfg.numWarps = 1;
-    KernelTrace t = recordTrace(k, cfg);
-    ASSERT_EQ(validateTrace(k, t), "");
-    KernelTrace bad = t;
-    bad.warpPaths[0] = {1, 0};  // backwards, not a CFG edge chain
-    EXPECT_NE(validateTrace(k, bad), "");
-    KernelTrace bad2 = t;
-    bad2.blockCounts[0] += 5;
-    EXPECT_NE(validateTrace(k, bad2), "");
+    DecodedTrace t = recordDecodedTrace(k, cfg);
+    ASSERT_EQ(t.lin, std::vector<std::int32_t>({0, 1, 2}));
+    ASSERT_EQ(cfgLegalityError(k, t), "");
+    DecodedTrace bad = t;
+    bad.lin = {1, 0, 2};  // starts past the entry, then jumps back
+    EXPECT_NE(cfgLegalityError(k, bad), "");
+    DecodedTrace skipped = t;
+    skipped.lin = {0, 2, 2};  // skips block "skip"'s first instruction
+    EXPECT_NE(cfgLegalityError(k, skipped), "");
+    DecodedTrace unfinished = t;
+    unfinished.lin = {0, 1};  // terminates without an EXIT
+    unfinished.flags.pop_back();
+    unfinished.warpBegin = {0, 2};
+    EXPECT_NE(cfgLegalityError(k, unfinished), "");
 }
 
 TEST(Trace, DynamicInstrHistogram)
@@ -111,48 +213,42 @@ out:
 )");
     RunConfig cfg;
     cfg.numWarps = 2;
-    KernelTrace t = recordTrace(k, cfg);
-    auto hist = dynamicInstrsPerBlock(k, t);
+    DecodedTrace t = recordDecodedTrace(k, cfg);
+    std::vector<std::uint64_t> hist(k.blocks.size(), 0);
+    for (std::int32_t lin : t.lin)
+        hist[k.ref(lin).block]++;
     EXPECT_EQ(hist[0], 2u);       // 1 instr x 2 warps
     EXPECT_EQ(hist[1], 2u * 9u);  // 3 instrs x 3 iters x 2 warps
     std::uint64_t total = 0;
     for (auto h : hist)
         total += h;
-    EXPECT_EQ(total, t.instructions);
+    EXPECT_EQ(total, t.instructions());
 }
 
 TEST(Trace, ReplayMatchesLiveSimulation)
 {
-    // Replaying a trace through the SM model must produce the same
-    // instruction count and (for uniform-control-flow kernels) the
-    // same cycle count as live execution.
+    // A freshly recorded trace replayed through the SM pipeline must
+    // issue and time exactly like the scheme-level run over the
+    // memoized trace of the same launch.
     for (const char *name : {"scalarprod", "hotspot", "nbody"}) {
-        const Workload &w = workloadByName(name);
-        PerfConfig cfg;
-        cfg.numWarps = 8;
-        cfg.activeWarps = 4;
-        RunConfig rc;
-        rc.numWarps = cfg.numWarps;
-        KernelTrace t = recordTrace(w.kernel, rc);
-        PerfResult live = runPerfSim(w.kernel, cfg);
-        PerfResult replay = runPerfSimFromTrace(w.kernel, t, cfg);
-        EXPECT_EQ(replay.instructions, live.instructions) << name;
-        EXPECT_EQ(replay.cycles, live.cycles) << name;
-    }
-}
+        Workload w = workloadByName(name);
+        w.run = {8, 1u << 18};
+        PipelineConfig pcfg;
+        pcfg.activeWarps = 4;
+        ExperimentConfig cfg;
+        cfg.scheme = Scheme::BASELINE;
+        SchemePipelineResult live = runSchemePipeline(w, cfg, pcfg);
+        ASSERT_TRUE(live.ok()) << name << ": " << live.error;
 
-TEST(Trace, ReplayScalesWarpsRoundRobin)
-{
-    const Workload &w = workloadByName("histogram");
-    RunConfig rc;
-    rc.numWarps = 4;
-    KernelTrace t = recordTrace(w.kernel, rc);
-    PerfConfig cfg;
-    cfg.numWarps = 16;  // more warps than recorded paths
-    cfg.activeWarps = 8;
-    PerfResult r = runPerfSimFromTrace(w.kernel, t, cfg);
-    EXPECT_GT(r.instructions, t.instructions);
-    EXPECT_GT(r.ipc(), 0.0);
+        DecodedTrace t = recordDecodedTrace(w.kernel, w.run);
+        ReplayDecode dec(w.kernel);
+        std::unique_ptr<SchemeAccounting> acct =
+            flatAccounting(w.kernel, &dec);
+        PipelineResult replay = runPipeline(t, dec, *acct, pcfg);
+        ASSERT_TRUE(replay.ok()) << name << ": " << replay.error;
+        EXPECT_EQ(replay.stats.issued, live.stats.issued) << name;
+        EXPECT_EQ(replay.stats.cycles, live.stats.cycles) << name;
+    }
 }
 
 TEST(Trace, AllWorkloadsProduceValidTraces)
@@ -160,9 +256,9 @@ TEST(Trace, AllWorkloadsProduceValidTraces)
     for (const Workload &w : allWorkloads()) {
         RunConfig cfg = w.run;
         cfg.numWarps = 2;
-        KernelTrace t = recordTrace(w.kernel, cfg);
-        EXPECT_EQ(validateTrace(w.kernel, t), "") << w.name;
-        EXPECT_GT(t.instructions, 0u) << w.name;
+        DecodedTrace t = recordDecodedTrace(w.kernel, cfg);
+        EXPECT_EQ(cfgLegalityError(w.kernel, t), "") << w.name;
+        EXPECT_GT(t.instructions(), 0u) << w.name;
     }
 }
 
